@@ -71,7 +71,7 @@ def report(name: str, lines: list[str], backend: str | None = None,
 
     ``metrics`` is the machine-readable side-channel: when given, the dict
     is written as ``<name>.json`` next to the text report, so benchmarks
-    can persist per-phase/per-kernel breakdowns (telemetry snapshots,
+    can persist per-phase/per-kernel breakdowns (registry snapshots,
     model numbers) without flattening them into the human-readable lines.
 
     All files are written atomically (tmp file + ``os.replace``) so an

@@ -19,7 +19,7 @@ import numpy as np
 
 from _cache import report, scenario_a_config
 from repro.exec import clear_plan_cache, get_plan_cache
-from repro.obs import get_telemetry
+from repro.obs import get_metrics, phases
 from repro.scenarios.scenario_a import build_coupled
 
 N_STEPS = 8
@@ -39,22 +39,22 @@ def _time_steps(solver, n_steps=N_STEPS):
 
 
 def _profiled_snapshot(solver, n_steps=N_PROFILE_STEPS):
-    """Per-phase telemetry of ``n_steps`` extra (untimed) steps.
+    """Per-phase timers of ``n_steps`` extra (untimed) steps.
 
     Run this only after the timed pass and any trajectory-equivalence
     assertions: the extra steps advance the solver past the compared state.
     """
-    tel = get_telemetry()
-    tel.reset()
-    tel.enable()
+    met = get_metrics()
+    met.reset()
+    met.enable()
     try:
         for _ in range(n_steps):
             solver.step()
     finally:
-        tel.disable()
-    snap = tel.snapshot()
-    tel.reset()
-    return {"n_steps_profiled": n_steps, "phases": snap["phases"],
+        met.disable()
+    snap = met.snapshot()
+    met.reset()
+    return {"n_steps_profiled": n_steps, "phases": phases(snap),
             "counters": snap["counters"]}
 
 

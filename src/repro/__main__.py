@@ -26,7 +26,7 @@ silently corrupting the run.
 They also accept the execution-backend options ``--backend
 serial|partitioned`` and ``--workers N`` (thread-pool size for the
 partitioned backend; see README "Parallel execution"), and the
-observability options ``--profile`` (phase telemetry + roofline report at
+observability options ``--profile`` (phase timers + roofline report at
 exit), ``--trace PATH`` (span timeline exported as Chrome-trace/Perfetto
 JSON), ``--log-json PATH`` (structured JSONL run records) and
 ``--heartbeat-every N`` (heartbeat period in steps; see README
@@ -116,6 +116,7 @@ def main(argv=None) -> int:
         )
 
     from repro.obs import add_obs_args
+    from repro.obs.report import DEFAULT_NODE
 
     sub.add_parser("info", help="version and subsystem summary")
     p_q = sub.add_parser("quickstart", help="coupled Earth-ocean quickstart")
@@ -137,8 +138,8 @@ def main(argv=None) -> int:
     sub.add_parser("acoustics", help="acoustic/gravity dispersion demo")
     p_r = sub.add_parser("obs-report", help="summarize a JSONL run log")
     p_r.add_argument("runlog", help="path to a --log-json run log")
-    p_r.add_argument("--node", default="rome",
-                     help="roofline node model (default: rome)")
+    p_r.add_argument("--node", default=DEFAULT_NODE,
+                     help=f"roofline node model (default: {DEFAULT_NODE})")
     p_r.add_argument("--check", action="store_true",
                      help="validate every record against the schema first")
     p_t = sub.add_parser("obs-trace", help="summarize a Chrome-trace/Perfetto export")
@@ -168,8 +169,9 @@ def main(argv=None) -> int:
     p_b = sub.add_parser("bench", help="run the kernel benchmark battery")
     p_b.add_argument("--out", default=None, metavar="PATH",
                      help="history file (default: BENCH_<host-context>.json at repo root)")
-    p_b.add_argument("--node", default="local",
-                     help="roofline node model for predicted bounds (default: local)")
+    p_b.add_argument("--node", default=DEFAULT_NODE,
+                     help="roofline node model for predicted bounds "
+                     f"(default: {DEFAULT_NODE})")
     p_b.add_argument("--kernel-variant", default=None,
                      choices=("batched", "fused", "jit"),
                      help="kernel execution variant to benchmark "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .materials import SXX, VX
 from .riemann import FaceKind
 from .rk import RK4, ExactPropagator, rk_solve
@@ -34,7 +34,7 @@ from .rotation import batched_state_rotation
 
 __all__ = ["GravityBoundary"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 class GravityBoundary:
@@ -144,7 +144,7 @@ class GravityBoundary:
         ``derivs`` is the CK predictor of (at least) the adjacent elements,
         with expansion point at the beginning of the step.
         """
-        with _TEL.phase("gravity/ode"):
+        with _MET.phase("gravity/ode"):
             self._step(derivs, dt, out, face_mask)
 
     def _step(self, derivs, dt, out, face_mask=None) -> None:

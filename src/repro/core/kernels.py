@@ -33,7 +33,7 @@ from ..kernels.fusion import (
     fused_interior_residual,
     fused_volume_residual,
 )
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .ader import ck_derivatives, star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
@@ -47,7 +47,7 @@ from .rotation import batched_state_rotation
 
 __all__ = ["SpatialOperator"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 class _InteriorGroup:
@@ -154,7 +154,7 @@ class SpatialOperator:
         battery (:mod:`repro.obs.bench`) times the Riemann-flux setup path
         in isolation.
         """
-        with _TEL.phase("riemann_flux"):
+        with _MET.phase("riemann_flux"):
             return self._face_flux_matrices_impl(mat_m_ids, mat_p_ids, normals)
 
     def _face_flux_matrices_impl(self, mat_m_ids, mat_p_ids, normals):
@@ -363,7 +363,7 @@ class SpatialOperator:
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
-        with _TEL.phase(self._phase_volume):
+        with _MET.phase(self._phase_volume):
             if self.kernel_variant == "batched":
                 self._volume_residual(I, out, active)
             else:
@@ -386,7 +386,7 @@ class SpatialOperator:
         face receive contributions — needed by local time-stepping, where a
         face between clusters is visited by each side at its own cadence.
         """
-        with _TEL.phase(self._phase_interior):
+        with _MET.phase(self._phase_interior):
             if self.kernel_variant == "batched":
                 self._interior_residual(I, out, active)
             else:
@@ -445,7 +445,7 @@ class SpatialOperator:
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
-        with _TEL.phase(self._phase_boundary):
+        with _MET.phase(self._phase_boundary):
             if self.kernel_variant == "batched":
                 self._boundary_residual(I, out, active)
             else:

@@ -39,7 +39,8 @@ from ..io.checkpoint import (
     restore_checkpoint,
     restore_state,
 )
-from ..obs.blackbox import BUNDLE_SUFFIX, FlightRecorder, dump_bundle
+from ..obs.blackbox import BUNDLE_SUFFIX, dump_bundle, recorded_since
+from ..obs.metrics import get_metrics
 from ..sched import HookBus, Scheduler
 from .health import HealthError, SimulationDiverged, Watchdog
 
@@ -77,16 +78,15 @@ class ResilientRunner:
         Optional :class:`~repro.obs.runlog.RunLog`; checkpoint, resume,
         recovery and divergence events are appended to it as structured
         records alongside whatever the caller logs.
-    blackbox:
-        Keep the always-on flight recorder (default).  The ring records
-        every scheduler micro-step window plus the watchdog's per-step
-        gauges; on a watchdog trip or divergence a fingerprinted
-        diagnostic bundle (``*.blackbox.json``) is dumped into
-        ``blackbox_dir`` and its path attached to the matching
-        recovery/diverged run-log event (``None`` when no directory is
-        configured — the ring still records).
     blackbox_dir:
-        Where bundles land; defaults to ``checkpoint_dir``.
+        Where diagnostic bundles land; defaults to ``checkpoint_dir``.
+        The always-on flight recorder (the instrumentation registry's
+        ring) records every scheduler micro-step window plus the
+        watchdog's per-step gauges; on a watchdog trip or divergence the
+        events recorded since this runner was created are dumped as a
+        fingerprinted bundle (``*.blackbox.json``) and its path attached
+        to the matching recovery/diverged run-log event (``None`` when no
+        directory is configured — the ring still records).
     """
 
     def __init__(
@@ -102,9 +102,7 @@ class ResilientRunner:
         injector=None,
         verbose: bool = True,
         runlog=None,
-        blackbox: bool = True,
         blackbox_dir: str | None = None,
-        blackbox_capacity: int = 256,
     ):
         if lts is not None and lts.solver is not solver:
             raise ValueError("lts wraps a different solver instance")
@@ -134,10 +132,9 @@ class ResilientRunner:
         self.rollbacks = 0
         #: checkpoint paths written, in order
         self.checkpoints_written: list = []
-        #: the always-on flight recorder (``None`` only when opted out)
-        self.recorder = (
-            FlightRecorder(blackbox_capacity) if blackbox else None
-        )
+        #: ring position when the runner was created: bundles carry only
+        #: flight-recorder events from here on, never an earlier run's
+        self.ring_mark = get_metrics().mark()
         self.blackbox_dir = blackbox_dir or checkpoint_dir
         #: diagnostic bundles dumped over the runner's lifetime, in order
         self.bundles_written: list = []
@@ -180,8 +177,7 @@ class ResilientRunner:
         except (TypeError, ValueError):
             self.step_count = 0
         self.watchdog.reset()
-        if self.recorder is not None:
-            self.recorder.record("resume", path=path, step=self.step_count)
+        get_metrics().record("resume", path=path, step=self.step_count)
         if self.runlog is not None:
             self.runlog.emit(
                 "resume", path=path, step=self.step_count, sim_t=self.solver.t
@@ -261,12 +257,11 @@ class ResilientRunner:
                     self.dt_scale = (
                         min(self.dt_scale, snap["dt_scale"]) * self.backoff
                     )
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "recovery", step=err.report.step,
-                            t=err.report.t, attempt=attempts,
-                            dt_scale=self.dt_scale,
-                        )
+                    get_metrics().record(
+                        "recovery", step=err.report.step,
+                        t=err.report.t, attempt=attempts,
+                        dt_scale=self.dt_scale,
+                    )
                     if self.runlog is not None:
                         self.runlog.emit(
                             "recovery", step=err.report.step, sim_t=err.report.t,
@@ -296,11 +291,10 @@ class ResilientRunner:
         carries the nominal dt the CFL monitor must see); under LTS the
         sweep runs at macro-step synchronization points.
         """
-        rec = self.recorder
+        rec = get_metrics()
         if self.lts is not None:
-            if rec is not None:
-                # cluster/window ids of every LTS micro-step window
-                rec.subscribe(bus)
+            # cluster/window ids of every LTS micro-step window
+            rec.subscribe(bus)
 
             def watch_sync(s):
                 factor = (
@@ -311,10 +305,9 @@ class ResilientRunner:
                 self.step_count += 1
                 dt = self.lts.dt_min * self.dt_scale * factor
                 self.watchdog.ensure(dt=dt, step=self.step_count)
-                if rec is not None:
-                    rec.record_step(self.step_count, s.t, dt,
-                                    energy=self.watchdog._e_prev,
-                                    dt_scale=self.dt_scale)
+                rec.record_step(self.step_count, s.t, dt,
+                                energy=self.watchdog._e_prev,
+                                dt_scale=self.dt_scale)
 
             bus.on_sync(watch_sync)
         else:
@@ -322,10 +315,9 @@ class ResilientRunner:
             def watch_micro(s, event):
                 self.step_count += 1
                 self.watchdog.ensure(dt=event.dt_nominal, step=self.step_count)
-                if rec is not None:
-                    rec.record_step(self.step_count, s.t, event.dt,
-                                    energy=self.watchdog._e_prev,
-                                    dt_scale=self.dt_scale)
+                rec.record_step(self.step_count, s.t, event.dt,
+                                energy=self.watchdog._e_prev,
+                                dt_scale=self.dt_scale)
 
             bus.on_micro_step(watch_micro)
 
@@ -349,11 +341,11 @@ class ResilientRunner:
               excerpt: bool = False) -> str | None:
         """Dump one diagnostic bundle from the live (still-corrupt) state.
 
-        Returns the bundle path, or ``None`` when the recorder is off, no
-        directory is configured, or the write itself fails — forensics
-        must never turn a diagnosable fault into a crash.
+        Returns the bundle path, or ``None`` when no directory is
+        configured or the write itself fails — forensics must never turn a
+        diagnosable fault into a crash.
         """
-        if self.recorder is None or self.blackbox_dir is None:
+        if self.blackbox_dir is None:
             return None
         from ..obs.runlog import run_manifest
 
@@ -364,7 +356,7 @@ class ResilientRunner:
             r.describe() if hasattr(r, "describe") else str(r)
             for r in (reports or ([report] if report is not None else []))
         ]
-        spans = self._recent_spans()
+        ring, spans = recorded_since(self.ring_mark)
         try:
             state = (capture_state(self.solver, self.lts)
                      if excerpt else None)
@@ -372,7 +364,7 @@ class ResilientRunner:
                 path,
                 kind=kind,
                 reason=report.describe() if report is not None else None,
-                ring=self.recorder,
+                ring=ring,
                 solver=self.solver,
                 lts=self.lts,
                 error=error,
@@ -399,20 +391,6 @@ class ResilientRunner:
         self.bundles_written.append(path)
         self.last_bundle = path
         return path
-
-    @staticmethod
-    def _recent_spans(limit: int = 32) -> list:
-        """Tail of the telemetry span buffer (empty unless tracing)."""
-        from ..obs.telemetry import get_telemetry
-
-        tel = get_telemetry()
-        if not tel.enabled:
-            return []
-        try:
-            spans = tel.trace_snapshot().get("spans", [])
-        except Exception:
-            return []
-        return [list(s[:4]) for s in spans[-limit:]]
 
     def dump_exception(self, exc: BaseException) -> str | None:
         """Dump a bundle for an unhandled exception (worker crash path)."""
@@ -458,9 +436,8 @@ class ResilientRunner:
             )
         else:
             self.checkpoints_written.append(path)
-            if self.recorder is not None:
-                self.recorder.record("checkpoint", step=self.step_count,
-                                     t=self.solver.t, path=path)
+            get_metrics().record("checkpoint", step=self.step_count,
+                                 t=self.solver.t, path=path)
             if self.runlog is not None:
                 self.runlog.emit(
                     "checkpoint", path=path, step=self.step_count,

@@ -22,7 +22,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..exec.backend import make_backend
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .ader import taylor_integrate
 from .basis import tet_basis
 from .cfl import element_timesteps
@@ -32,7 +32,7 @@ from .riemann import FaceKind
 
 __all__ = ["CoupledSolver", "PointSource", "ocean_surface_gravity_tagger"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 def ocean_surface_gravity_tagger(
@@ -283,7 +283,7 @@ class CoupledSolver:
     def step(self, dt: float | None = None) -> None:
         """One global ADER-DG timestep (predictor + corrector)."""
         dt = self.dt if dt is None else dt
-        with _TEL.phase("step"):
+        with _MET.phase("step"):
             derivs = self.backend.predict(self.Q)
             I = taylor_integrate(derivs, 0.0, dt)
             R = self.backend.corrector(I, derivs, dt, t0=self.t)

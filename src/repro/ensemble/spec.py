@@ -111,12 +111,13 @@ class MemberSpec:
     max_retries: int = 2
     #: emit a heartbeat to the supervisor every N scheduler sync points
     heartbeat_every: int = 1
-    #: enable the typed metric registry for this member: compact snapshots
+    #: switch the instrumentation registry on for this member: snapshots
     #: piggyback on heartbeat queue messages and land as durable
     #: ``metrics`` run-log records (the fleet aggregator's feed)
     metrics: bool = True
-    #: record a span timeline and export ``trace.json`` into the member
-    #: dir — the per-member lane ``obs-trace --merge`` stitches together
+    #: switch the registry on with spans and export ``trace.json`` into
+    #: the member dir — the per-member lane ``obs-trace --merge`` stitches
+    #: together
     trace: bool = False
     #: optional FaultInjector (state/dt/io faults run through the
     #: in-process ResilientRunner; kill/hang/corrupt-result faults are

@@ -48,8 +48,8 @@ from ..obs.blackbox import (
     load_bundle,
     write_bundle,
 )
-from ..obs.fleet import FleetAggregator, read_jsonl_tolerant
-from ..obs.runlog import RunLog
+from ..obs.fleet import FleetAggregator
+from ..obs.runlog import RunLog, read_jsonl
 from .result import EnsembleResult, MemberResult
 from .retry import RetryPolicy
 from .spec import MemberSpec
@@ -87,7 +87,7 @@ class _Member:
         self.first_wall = None
         self.last_error = None
         self.result: MemberResult | None = None
-        self.last_metrics: dict | None = None  # compact snapshot off the wire
+        self.last_metrics: dict | None = None  # snapshot off the wire
 
     @property
     def done(self) -> bool:
@@ -423,7 +423,7 @@ class Supervisor:
                 return path, doc
         # no worker-side bundle for this attempt: synthesize one
         ring = [dict(rec, kind=rec.get("event", "record"))
-                for rec in read_jsonl_tolerant(m.paths["runlog"])[-40:]]
+                for rec in read_jsonl(m.paths["runlog"])[-40:]]
         doc = build_bundle(
             kind="supervisor",
             reason=reason,
@@ -511,7 +511,7 @@ class Supervisor:
             digest=result.get("digest"), summary=result.get("summary", {}),
             history=m.history, verdict=None, bundle=None, paths=m.paths,
         )
-        # the result file carries the member's final compact snapshot —
+        # the result file carries the member's final registry snapshot —
         # authoritative over whatever heartbeat arrived last
         snap = result.get("metrics")
         if isinstance(snap, dict):

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 import traceback
 
@@ -31,8 +30,9 @@ import numpy as np
 
 from ..core.health import SimulationDiverged
 from ..core.resilience import ResilientRunner
+from ..io.atomic import atomic_write
 from ..io.checkpoint import capture_state
-from ..obs.metrics import get_metrics
+from ..obs.metrics import get_metrics, phases
 from ..obs.runlog import RunLog
 from ..sched import HookBus
 from .spec import MemberSpec
@@ -110,42 +110,34 @@ def run_member(
     :class:`~repro.core.health.inject.InjectedHang`) instead of killing
     or stalling the driver itself.
 
-    With ``spec.metrics`` (the default) the member enables the typed
-    metric registry for the attempt: compact snapshots ride on every
-    heartbeat queue message, land as durable ``metrics`` run-log records,
-    and the final snapshot is stored in the result file.  With
-    ``spec.trace`` the member records a span timeline and exports
-    ``trace.json`` (wall-clock anchored, so ``obs-trace --merge`` can
-    align it with its siblings).  Both registries are process-global, so
-    they are reset per attempt and disabled on the way out — degraded
-    in-process mode runs members sequentially in one interpreter and must
-    not leak one member's metrics into the next.
+    ``spec.metrics`` (the default) and ``spec.trace`` each switch the
+    instrumentation registry on for the attempt.  With ``spec.metrics``
+    registry snapshots ride on every heartbeat queue message, land as
+    durable ``metrics`` run-log records, and the final snapshot is stored
+    in the result file and the ``run_end`` record.  With ``spec.trace``
+    the member also records spans and exports ``trace.json``
+    (wall-clock anchored, so ``obs-trace --merge`` can align it with its
+    siblings).  The registry is process-global, so it is reset per
+    attempt and disabled on the way out — degraded in-process mode runs
+    members sequentially in one interpreter and must not leak one
+    member's metrics into the next.
     """
     met = get_metrics()
-    tel = None
-    if spec.metrics:
+    if spec.metrics or spec.trace:
         met.reset()
-        met.enable()
-    if spec.trace:
-        from ..obs.telemetry import get_telemetry
-
-        tel = get_telemetry()
-        tel.reset()
-        tel.enable(trace=True)
+        met.enable(trace=spec.trace)
     try:
         return _run_member_attempt(
             spec, member_dir, queue, attempt, resume, dt_scale, in_process,
-            met if spec.metrics else None, tel,
+            met if spec.metrics else None,
         )
     finally:
-        if spec.metrics:
+        if spec.metrics or spec.trace:
             met.disable()
-        if tel is not None:
-            tel.disable()
 
 
 def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
-                        in_process, met, tel) -> dict:
+                        in_process, met) -> dict:
     os.makedirs(member_dir, exist_ok=True)
     paths = {
         "dir": member_dir,
@@ -226,7 +218,7 @@ def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
         rate = (runner.step_count - beat_state["step"]) / d_wall
         beat_state["wall"], beat_state["step"] = now, runner.step_count
         if met is not None:
-            snap = met.compact()
+            snap = met.snapshot()
             tell("heartbeat", step=runner.step_count, sim_t=s.t,
                  metrics=snap)
             runlog.emit("metrics", step=runner.step_count, sim_t=float(s.t),
@@ -274,15 +266,15 @@ def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
         # recovered-on-retry) attempt must not point at a stale dump
         "bundle": bundle,
         "summary": handle.summarize(solver) if handle.summarize else {},
-        "metrics": met.compact() if met is not None else None,
+        "metrics": met.snapshot() if met is not None else None,
         "paths": paths,
     }
-    if tel is not None:
+    if spec.trace:
         from ..obs.trace import export_chrome_trace
 
         try:
             export_chrome_trace(
-                paths["trace"], tel.trace_snapshot(),
+                paths["trace"], get_metrics().trace_snapshot(),
                 metadata={"member": spec.member_id, "attempt": attempt},
             )
         except OSError:
@@ -293,8 +285,9 @@ def _run_member_attempt(spec, member_dir, queue, attempt, resume, dt_scale,
         # record agrees exactly with what the supervisor aggregates
         runlog.emit("metrics", step=runner.step_count, sim_t=float(solver.t),
                     metrics=result["metrics"])
+    final = result["metrics"] or {}
     runlog.emit("run_end", steps=runner.step_count, wall_s=wall_s,
-                phases={}, counters={})
+                phases=phases(final), counters=final.get("counters", {}))
     runlog.close()
     if met is not None:
         tell("done", status=status, sim_t=solver.t, metrics=result["metrics"])
@@ -329,22 +322,8 @@ def _publish_result(path: str, result: dict, spec, attempt: int) -> None:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text[: max(8, len(text) // 3)].rstrip("}\n") + "\x00garbage")
         return
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path),
-        prefix=f".{RESULT_NAME}.{os.getpid()}.", suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as f:
+        f.write(text)
 
 
 def load_result(path: str) -> dict | None:

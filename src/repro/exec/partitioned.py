@@ -41,12 +41,12 @@ import numpy as np
 from ..core.ader import taylor_integrate
 from ..core.lts import cluster_elements
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
@@ -206,43 +206,37 @@ class PartitionedBackend(ExecutionBackend):
         shape = (len(Q), op.order + 1, op.nbasis, 9)
         if derivs is None or derivs.shape != shape:
             derivs = self._derivs_scratch = np.empty(shape)
-        tracing = _TEL.enabled and _TEL.tracing
-
         def work(plan):
-            t0 = _time.perf_counter() if tracing else 0.0
-            plan.ck_scratch = op.predict_states(
-                Q[plan.owned], op.star[plan.owned], op.starT[plan.owned],
-                out=plan.ck_scratch)
-            derivs[plan.owned] = plan.ck_scratch
-            if tracing:
-                _TEL.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=plan.n_owned)
+            # a trace-only span: the predictor's time is the "predict" phase
+            with _MET.span("worker/predict", part=plan.part_id,
+                           owned=plan.n_owned):
+                plan.ck_scratch = op.predict_states(
+                    Q[plan.owned], op.star[plan.owned], op.starT[plan.owned],
+                    out=plan.ck_scratch)
+                derivs[plan.owned] = plan.ck_scratch
 
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", len(Q))
+        with _MET.phase("predict"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/predictor", len(Q))
             self._run(work)
         return derivs
 
     def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
         op = self.solver.op
-        tracing = _TEL.enabled and _TEL.tracing
-
         def work(plan):
             ids = plan.owned_mask & mask
             if not ids.any():
                 return
-            t0 = _time.perf_counter() if tracing else 0.0
-            new_derivs = op.predict_states(Q[ids], op.star[ids], op.starT[ids])
-            derivs[ids] = new_derivs
-            Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
-            if tracing:
-                _TEL.add_span("worker/predict", t0, _time.perf_counter(),
-                              part=plan.part_id, owned=int(ids.sum()))
+            with _MET.span("worker/predict", part=plan.part_id,
+                           owned=int(ids.sum())):
+                new_derivs = op.predict_states(Q[ids], op.star[ids],
+                                               op.starT[ids])
+                derivs[ids] = new_derivs
+                Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
 
-        with _TEL.phase("predict"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/predictor", int(mask.sum()))
+        with _MET.phase("predict"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/predictor", int(mask.sum()))
             self._run(work)
 
     def corrector(self, I, derivs, dt, t0, active=None,
@@ -250,10 +244,9 @@ class PartitionedBackend(ExecutionBackend):
         solver = self.solver
         R = solver.op.new_state()
 
-        tracing = _TEL.enabled and _TEL.tracing
+        profiled = _MET.enabled
 
         def work(plan):
-            profiled = _TEL.enabled
             if active is None:
                 act = plan.owned_local
             else:
@@ -265,11 +258,9 @@ class PartitionedBackend(ExecutionBackend):
                 Iloc = I[plan.cells]
                 if profiled:
                     t_compute = _time.perf_counter()
-                    _TEL.add_time(f"worker/p{plan.part_id}/halo_gather",
-                                  t_compute - t_gather)
-                    if tracing:
-                        _TEL.add_span("worker/halo_gather", t_gather, t_compute,
-                                      part=plan.part_id, halo=plan.n_halo)
+                    _MET.interval(f"worker/p{plan.part_id}/halo_gather",
+                                  t_gather, t_compute, part=plan.part_id,
+                                  halo=plan.n_halo)
                 outloc = np.zeros_like(Iloc)
                 plan.lop.volume_residual(Iloc, outloc, active=act)
                 plan.lop.interior_residual(Iloc, outloc, active=act)
@@ -290,19 +281,15 @@ class PartitionedBackend(ExecutionBackend):
                 act_g = plan.owned_mask if active is None else plan.owned_mask & active
                 solver.fault.step(derivs, dt, R, active=act_g, t0=t0)
             if profiled:
-                t_end = _time.perf_counter()
-                _TEL.add_time(f"worker/p{plan.part_id}/compute",
-                              t_end - t_compute)
-                if tracing:
-                    _TEL.add_span("worker/compute", t_compute, t_end,
-                                  part=plan.part_id,
-                                  owned=int(act.sum()) if active is not None
-                                  else plan.n_owned)
+                _MET.interval(f"worker/p{plan.part_id}/compute", t_compute,
+                              _time.perf_counter(), part=plan.part_id,
+                              owned=int(act.sum()) if active is not None
+                              else plan.n_owned)
 
-        with _TEL.phase("corrector"):
-            if _TEL.enabled:
-                _TEL.count("elem_updates/corrector",
-                           len(I) if active is None else int(active.sum()))
+        with _MET.phase("corrector"):
+            if _MET.enabled:
+                _MET.inc("elem_updates/corrector",
+                         len(I) if active is None else int(active.sum()))
             self._run(work)
         self.halo_exchanges += 1
         # point sources are few and cheap: applied once, after the barrier

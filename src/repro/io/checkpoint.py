@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import tempfile
 import warnings
 import zipfile
 import zlib
@@ -37,7 +36,7 @@ import zlib
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from ..obs.telemetry import get_telemetry
+from .atomic import atomic_write
 
 __all__ = [
     "CheckpointError",
@@ -188,7 +187,7 @@ def save_checkpoint(path: str, solver, lts=None, metadata: dict | None = None) -
     """
     if not path.endswith(".npz"):
         path = path + ".npz"
-    with get_telemetry().phase("io/checkpoint_save"):
+    with get_metrics().phase("io/checkpoint_save"):
         return _save_checkpoint(path, solver, lts, metadata)
 
 
@@ -203,28 +202,9 @@ def _save_checkpoint(path, solver, lts, metadata) -> str:
     arrays["meta_keys"] = np.asarray(meta_keys)
     arrays["meta_vals"] = np.asarray(meta_vals)
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    # pid-keyed unique temp name: concurrent ensemble workers checkpointing
-    # into sibling paths of one directory must never collide mid-publish
-    fd, tmp = tempfile.mkstemp(
-        dir=directory,
-        prefix=f".{os.path.basename(path)}.{os.getpid()}.",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez_compressed(f, **arrays)
-            f.flush()
-            os.fsync(f.fileno())
-            n_bytes = f.tell()
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "wb") as f:
+        np.savez_compressed(f, **arrays)
+        n_bytes = f.tell()
     met = get_metrics()
     if met.enabled:
         met.inc("io/checkpoint_writes")
@@ -239,7 +219,7 @@ def load_checkpoint(path: str) -> dict:
     ``state`` is the dict :func:`restore_state` accepts.
     """
     try:
-        with get_telemetry().phase("io/checkpoint_load"), \
+        with get_metrics().phase("io/checkpoint_load"), \
                 np.load(path, allow_pickle=False) as d:
             data = {k: d[k] for k in d.files}
     except (OSError, ValueError, KeyError, EOFError,

@@ -1,43 +1,43 @@
-"""Observability: phase telemetry, structured run logs, roofline reports.
+"""Observability: one instrumentation registry and its exporters.
 
 The measurement layer behind the paper's Sec. 5-6 performance story:
 
-* :mod:`repro.obs.telemetry` — default-off hierarchical phase timers and
-  monotonic counters instrumenting the solver's hot paths;
-* :mod:`repro.obs.runlog` — JSONL event sink (manifest, heartbeats,
-  resilience events) with an offline validator;
-* :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting
-  against :mod:`repro.hpc.perfmodel` (imported lazily: it pulls in the
-  HPC models);
-* :mod:`repro.obs.trace` — bounded span recording exported as
+* :mod:`repro.obs.metrics` — the one process-wide instrumentation
+  registry (:func:`get_metrics`) behind one default-off ``enabled``
+  guard: counters, gauges, phase timers (log-bucketed histograms of
+  seconds under hierarchical paths) and one bounded ring that holds the
+  always-on flight-recorder events plus, while tracing, every span.
+  Associative snapshot merging and the Prometheus text exporter live
+  here too;
+* :mod:`repro.obs.session` — :class:`ObsSession` wiring for the CLI's
+  ``--profile`` / ``--trace`` / ``--metrics`` exporter selectors (each
+  switches the registry on) and ``--log-json`` / ``--heartbeat-every``;
+* :mod:`repro.obs.report` — measured-vs-modeled GFLOP/s accounting of a
+  registry snapshot against :mod:`repro.hpc.perfmodel` (imported lazily:
+  it pulls in the HPC models) and the ``obs-report`` run-log summary;
+* :mod:`repro.obs.trace` — the ring's spans exported as
   Chrome-trace/Perfetto JSON timelines (one lane per partitioned worker,
   LTS cluster slices colored by cluster id) plus the ``obs-trace``
   summarizer;
-* :mod:`repro.obs.bench` — standardized kernel benchmark battery writing
-  schema-versioned ``BENCH_<host-context>.json`` trajectory records
-  (compared against history and the roofline by
-  ``tools/bench_compare.py``);
-* :mod:`repro.obs.metrics` — default-off typed metric registry
-  (counters, gauges, log-bucketed histograms, ring-buffer series) with
-  associative snapshot merging and a Prometheus text exporter — the
-  fleet-observability substrate;
+* :mod:`repro.obs.runlog` — JSONL event sink (manifest, heartbeats,
+  resilience events), its strict validator and the tolerant reader every
+  live consumer uses;
 * :mod:`repro.obs.fleet` — supervisor-side :class:`FleetAggregator`
   folding member snapshots into fleet series (``fleet.prom`` /
   ``fleet.jsonl`` exporters) plus the offline ``obs-status`` view;
-* :mod:`repro.obs.blackbox` — always-on bounded flight recorder
-  (:class:`FlightRecorder`) whose ring of recent micro-step events is
-  dumped, on any terminal fault, as an atomic fingerprinted
+* :mod:`repro.obs.blackbox` — on any terminal fault the ring's
+  flight-recorder events are dumped as an atomic fingerprinted
   ``*.blackbox.json`` diagnostic bundle (NaN-origin localization,
   per-field statistics, thread stacks, run manifest) classified by the
   ``obs-diagnose`` CLI;
-* :mod:`repro.obs.session` — :class:`ObsSession` wiring for the CLI's
-  ``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every`` /
-  ``--metrics`` flags.
+* :mod:`repro.obs.bench` — standardized kernel benchmark battery writing
+  schema-versioned ``BENCH_<host-context>.json`` trajectory records
+  (compared against history and the roofline by
+  ``tools/bench_compare.py``).
 """
 
 from .blackbox import (
     BUNDLE_SCHEMA_VERSION,
-    FlightRecorder,
     build_bundle,
     classify_bundle,
     diagnose_bundle_file,
@@ -54,12 +54,13 @@ from .metrics import (
     MetricRegistry,
     get_metrics,
     merge_snapshots,
+    phases,
     to_prometheus,
     validate_prometheus,
 )
-from .runlog import EVENT_FIELDS, SCHEMA_VERSION, RunLog, run_manifest, validate_jsonl, validate_record
+from .runlog import (EVENT_FIELDS, SCHEMA_VERSION, RunLog, read_jsonl, run_manifest,
+                     validate_jsonl, validate_record)
 from .session import ObsSession, add_obs_args, obs_kwargs
-from .telemetry import Telemetry, TraceBuffer, get_telemetry, timed
 from .trace import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -71,10 +72,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Telemetry",
-    "TraceBuffer",
-    "get_telemetry",
-    "timed",
     "TRACE_SCHEMA_VERSION",
     "chrome_trace",
     "export_chrome_trace",
@@ -86,11 +83,13 @@ __all__ = [
     "run_manifest",
     "validate_record",
     "validate_jsonl",
+    "read_jsonl",
     "EVENT_FIELDS",
     "SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "MetricRegistry",
     "get_metrics",
+    "phases",
     "merge_snapshots",
     "to_prometheus",
     "validate_prometheus",
@@ -99,7 +98,6 @@ __all__ = [
     "status_lines",
     "watch_status",
     "BUNDLE_SCHEMA_VERSION",
-    "FlightRecorder",
     "build_bundle",
     "write_bundle",
     "dump_bundle",

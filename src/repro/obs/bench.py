@@ -20,10 +20,10 @@ battery of micro-benchmarks over the solver's hot kernels —
   one-off plan compile cost recorded alongside;
 * ``lts_macro`` — one full clustered-LTS macro step (every cluster
   advanced to the next synchronization point);
-* ``metrics_overhead`` — the *disabled* fast path of the fleet-metric
-  registry (:mod:`repro.obs.metrics`): per-call cost of guarded
-  ``inc``/``set_gauge``/``observe`` with the registry off, which locks
-  the <2% per-step instrumentation budget.
+* ``obs_overhead`` — every instrumentation site kind of
+  :mod:`repro.obs.metrics` in one loop (phase, counter, gauge and span on
+  the *disabled* registry, plus the always-on flight-recorder ring
+  append), which locks the <2% per-step instrumentation budget.
 
 Each invocation appends one schema-versioned record to
 ``BENCH_<host-context>.json`` at the repo root — git revision, problem
@@ -43,14 +43,17 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 import time
 
 import numpy as np
 
+from ..io.atomic import atomic_write
+from .report import DEFAULT_NODE
+
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BATTERY_KERNELS",
+    "OBS_SITES_PER_STEP",
     "host_context",
     "default_history_path",
     "battery_problem",
@@ -66,7 +69,12 @@ BENCH_SCHEMA_VERSION = 1
 #: solver state and therefore always runs last among the solver kernels)
 BATTERY_KERNELS = ("predictor", "corrector", "riemann_setup",
                    "gravity_ode", "halo_gather", "sched_replay", "lts_macro",
-                   "metrics_overhead", "blackbox_overhead")
+                   "obs_overhead")
+
+#: ``obs_overhead`` loop iterations charged per step: each iteration is
+#: 4 guarded sites + 1 ring append, so 10 cover an upper bound of ~40
+#: guarded sites per step (and 5x the ~2 recorder appends)
+OBS_SITES_PER_STEP = 10
 
 
 def host_context() -> str:
@@ -139,7 +147,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 # ----------------------------------------------------------------------
-def run_battery(out: str | None = None, node: str = "local", order: int = 3,
+def run_battery(out: str | None = None, node: str = DEFAULT_NODE, order: int = 3,
                 fast: bool | None = None, repeats: int = 3,
                 append: bool = True, kernel_variant: str | None = None):
     """Run the battery and (by default) append the record to the history.
@@ -273,7 +281,7 @@ def run_battery(out: str | None = None, node: str = "local", order: int = 3,
     )
 
     # lts_macro: one clustered macro step — mutates solver state, so it
-    # runs last and is timed once per repeat on a fresh time window
+    # runs last and is measured once per repeat on a fresh time window
     rate_c = lts.rate ** lts.cmax
     macro_updates = int(sum(
         int(n) * lts.rate ** (lts.cmax - c) for c, n in enumerate(lts.elem_count)
@@ -286,58 +294,36 @@ def run_battery(out: str | None = None, node: str = "local", order: int = 3,
     add("lts_macro", _best_of(lts_macro, repeats), elem_updates=macro_updates)
     benches["lts_macro"]["clusters"] = int(lts.n_clusters)
 
-    # metrics_overhead: the disabled fast path of the fleet-metric
-    # registry — the cost every *un*-instrumented run pays at the guard
-    # sites wired into the scheduler/watchdog/caches.  Timed on a private
-    # registry so an outer --metrics session can't flip the result.
+    # obs_overhead: every instrumentation site kind in one loop — phase,
+    # counter, gauge and span on the *disabled* registry plus the
+    # always-on flight-recorder ring append.  Timed on a private registry
+    # so an outer --profile/--metrics session can't flip the result.
     from .metrics import MetricRegistry
 
     met = MetricRegistry()
-    n_calls = 3000
+    n_iter = 3000
 
-    def metrics_overhead():
-        for _ in range(n_calls):
-            if met.enabled:
-                met.inc("bench/c")
-            if met.enabled:
-                met.set_gauge("bench/g", 1.0)
-            if met.enabled:
-                met.observe("bench/h", 1.0)
+    def obs_overhead():
+        for i in range(n_iter):
+            with met.phase("bench/p"):
+                pass
+            met.inc("bench/c")
+            met.set_gauge("bench/g", 1.0)
+            with met.span("bench/s", part=0):
+                pass
+            met.record_step(i, 1.0e-3 * i, 1.0e-3, energy=1.0, dt_scale=1.0)
 
-    seconds = _best_of(metrics_overhead, repeats)
-    add("metrics_overhead", seconds)
-    benches["metrics_overhead"]["calls"] = 3 * n_calls
-    benches["metrics_overhead"]["seconds_per_call"] = seconds / (3 * n_calls)
-    # fraction of one (fast-path) lts_macro a realistic ~40 guarded call
-    # sites per step would cost — tools/bench_compare.py re-derives this
+    seconds = _best_of(obs_overhead, repeats)
+    add("obs_overhead", seconds)
+    cell = benches["obs_overhead"]
+    cell["iterations"] = n_iter
+    cell["seconds_per_iteration"] = seconds / n_iter
+    # fraction of one (fast-path) lts_macro step that OBS_SITES_PER_STEP
+    # loop iterations cost (tools/bench_compare.py gates it at 2 %)
     per_step = benches["lts_macro"]["seconds"] / max(
         1, round(macro_updates / max(1, ne)))
-    benches["metrics_overhead"]["step_fraction"] = (
-        40 * benches["metrics_overhead"]["seconds_per_call"] / per_step)
-
-    # blackbox_overhead: the always-on flight recorder's hot path — one
-    # tuple append into a bounded deque per micro window and per watchdog
-    # pass.  Timed on a private recorder; the same <2%-of-a-step budget
-    # that gates metrics_overhead applies (tools/bench_compare.py).
-    from .blackbox import FlightRecorder
-
-    rec_bb = FlightRecorder()
-    n_rec = 3000
-
-    def blackbox_overhead():
-        for i in range(n_rec):
-            rec_bb.record_micro(i, 0, i, 1.0e-3)
-            rec_bb.record_step(i, 1.0e-3 * i, 1.0e-3, energy=1.0,
-                               dt_scale=1.0)
-
-    seconds_bb = _best_of(blackbox_overhead, repeats)
-    add("blackbox_overhead", seconds_bb)
-    benches["blackbox_overhead"]["calls"] = 2 * n_rec
-    benches["blackbox_overhead"]["seconds_per_call"] = seconds_bb / (2 * n_rec)
-    # the recorder fires ~2 sites per step (micro window + post-watchdog
-    # step gauge) — far fewer than the ~40 metric guard sites
-    benches["blackbox_overhead"]["step_fraction"] = (
-        2 * benches["blackbox_overhead"]["seconds_per_call"] / per_step)
+    cell["step_fraction"] = (
+        OBS_SITES_PER_STEP * cell["seconds_per_iteration"] / per_step)
 
     record = {
         "schema": BENCH_SCHEMA_VERSION,
@@ -410,18 +396,6 @@ def append_record(path: str, record: dict) -> None:
     doc = load_history(path)
     doc["schema"] = BENCH_SCHEMA_VERSION
     doc["records"].append(record)
-    out_dir = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=out_dir,
-                               prefix=f".{os.path.basename(path)}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")

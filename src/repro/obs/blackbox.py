@@ -3,15 +3,17 @@
 Long coupled runs die in stereotyped ways — a NaN born at the fault or
 the gravity boundary, an energy-drift blowup, a CFL collapse after dt
 backoff, a worker killed mid-write — and the live observability layers
-(telemetry, traces, fleet metrics) only help while the process is still
+(phase timers, traces, fleet metrics) only help while the process is still
 alive.  This module is the *postmortem* half:
 
-* :class:`FlightRecorder` — an always-on bounded ring buffer of the last
-  K micro-step events (scheduler cluster/window ids, the watchdog's
-  per-step physics gauges, checkpoint/recovery events).  Recording is a
-  tuple append into a ``deque`` — the same <2 %-of-a-step budget the
-  disabled metric-registry guard sites live under (enforced by the
-  ``blackbox_overhead`` bench-battery entry and a dedicated test).
+* the **flight recorder** is the always-on half of the instrumentation
+  registry's ring (:mod:`repro.obs.metrics`): the last micro-step events
+  (scheduler cluster/window ids, the watchdog's per-step physics gauges,
+  checkpoint/recovery events), appended even while the registry is off.
+  Recording is one locked tuple append into a ``deque`` — inside the same
+  <2 %-of-a-step budget as the disabled guard sites (the ``obs_overhead``
+  bench kernel and its test).  :func:`recorded_since` reads the events
+  appended since a run started.
 * :func:`build_bundle` / :func:`write_bundle` — on any terminal fault
   (watchdog trip, :class:`~repro.core.health.SimulationDiverged`,
   unhandled worker exception, process death seen by the supervisor) the
@@ -42,18 +44,19 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 import traceback
-from collections import deque
 
 import numpy as np
+
+from ..io.atomic import atomic_write
+from .metrics import RING_CAPACITY, get_metrics
 
 __all__ = [
     "BUNDLE_SCHEMA_VERSION",
     "BUNDLE_SUFFIX",
     "VERDICTS",
-    "FlightRecorder",
+    "recorded_since",
     "locate_nonfinite",
     "field_statistics",
     "thread_stacks",
@@ -78,92 +81,46 @@ BUNDLE_SUFFIX = ".blackbox.json"
 VERDICTS = ("nan_origin", "energy_blowup", "cfl_collapse", "worker_death",
             "unknown")
 
-#: default ring capacity (events, not steps: micro + sync + sparse events)
-DEFAULT_CAPACITY = 256
+#: newest ring spans a bundle carries (a tail for context, not a trace)
+SPAN_TAIL = 32
 
 
-class FlightRecorder:
-    """Bounded ring buffer of recent step events (always-on, cheap).
+def _event(entry: tuple) -> dict:
+    """One flight-recorder ring entry as a JSON-ready dict."""
+    kind = entry[0]
+    if kind == "micro":
+        _, index, cluster, t_int, dt = entry
+        return {"kind": "micro", "index": int(index), "cluster": int(cluster),
+                "t_int": int(t_int), "dt": float(dt)}
+    if kind == "step":
+        _, step, t, dt, energy, dt_scale = entry
+        rec = {"kind": "step", "step": int(step), "t": float(t),
+               "dt": None if dt is None else float(dt)}
+        if energy is not None:
+            rec["energy"] = float(energy)
+        if dt_scale is not None:
+            rec["dt_scale"] = float(dt_scale)
+        return rec
+    rec = {"kind": kind}
+    rec.update(entry[1])
+    return rec
 
-    The hot-path entry points (:meth:`record_micro`, :meth:`record_step`)
-    append a plain tuple to a ``deque(maxlen=capacity)`` — no dict
-    construction, no formatting, no clock reads beyond what the caller
-    already holds.  Sparse events (checkpoints, recoveries) go through
-    :meth:`record`, which may build a dict: they fire per segment, not
-    per step.
+
+def recorded_since(mark: int = 0) -> tuple[dict, list]:
+    """The registry ring since position ``mark`` as a bundle's ``ring``
+    snapshot (flight-recorder events, oldest first, the newest
+    :data:`~repro.obs.metrics.RING_CAPACITY` kept) and ``spans`` tail
+    (``[name, t0, t1, tid]``, empty unless tracing).
+
+    Reading from a mark taken when the run started keeps events of an
+    earlier run in the same process out of the bundle.
     """
-
-    __slots__ = ("capacity", "_ring", "recorded")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._ring: deque = deque(maxlen=self.capacity)
-        #: total events ever recorded (ring length caps at ``capacity``)
-        self.recorded = 0
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    # -- hot paths -----------------------------------------------------
-    def record_micro(self, index, cluster, t_int, dt) -> None:
-        """One scheduler micro-step window (cluster id + window position)."""
-        self._ring.append(("micro", index, cluster, t_int, dt))
-        self.recorded += 1
-
-    def record_step(self, step, t, dt, energy=None, dt_scale=None) -> None:
-        """One supervised step/sync sweep with its physics gauges."""
-        self._ring.append(("step", step, t, dt, energy, dt_scale))
-        self.recorded += 1
-
-    # -- sparse events -------------------------------------------------
-    def record(self, kind: str, **fields) -> None:
-        """A sparse named event (checkpoint, recovery, resume, ...)."""
-        self._ring.append((kind, fields))
-        self.recorded += 1
-
-    def subscribe(self, bus) -> None:
-        """Record every scheduler micro-step window off a
-        :class:`~repro.sched.HookBus` (cluster/window ids in the ring)."""
-        ring = self._ring
-
-        def _on_micro(s, ev):
-            ring.append(("micro", ev.index, ev.cluster, ev.t_int, ev.dt))
-            self.recorded += 1
-
-        bus.on_micro_step(_on_micro)
-
-    # -- dump-side -----------------------------------------------------
-    def events(self) -> list[dict]:
-        """Ring contents normalized to JSON-ready dicts (oldest first)."""
-        out = []
-        for item in self._ring:
-            kind = item[0]
-            if kind == "micro":
-                _, index, cluster, t_int, dt = item
-                out.append({"kind": "micro", "index": int(index),
-                            "cluster": int(cluster), "t_int": int(t_int),
-                            "dt": float(dt)})
-            elif kind == "step":
-                _, step, t, dt, energy, dt_scale = item
-                rec = {"kind": "step", "step": int(step), "t": float(t),
-                       "dt": None if dt is None else float(dt)}
-                if energy is not None:
-                    rec["energy"] = float(energy)
-                if dt_scale is not None:
-                    rec["dt_scale"] = float(dt_scale)
-                out.append(rec)
-            else:
-                fields = item[1] if len(item) > 1 else {}
-                rec = {"kind": kind}
-                rec.update(fields)
-                out.append(rec)
-        return out
-
-    def snapshot(self) -> dict:
-        return {"capacity": self.capacity, "recorded": self.recorded,
-                "events": self.events()}
+    entries = get_metrics().entries(since=mark)
+    events = [_event(e) for e in entries if e[0] != "span"]
+    spans = [list(e[1:5]) for e in entries if e[0] == "span"]
+    ring = {"capacity": RING_CAPACITY, "recorded": len(events),
+            "events": events[-RING_CAPACITY:]}
+    return ring, spans[-SPAN_TAIL:]
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +241,7 @@ def build_bundle(
     *,
     kind: str,
     reason: str | None = None,
-    ring: list | FlightRecorder | None = None,
+    ring: list | dict | None = None,
     solver=None,
     lts=None,
     error: str | None = None,
@@ -303,8 +260,8 @@ def build_bundle(
     statistics are computed from its live state — call *before* rolling
     the state back.
     """
-    if isinstance(ring, FlightRecorder):
-        ring_snap = ring.snapshot()
+    if isinstance(ring, dict):
+        ring_snap = ring
     else:
         ring_snap = {"capacity": None, "recorded": len(ring or []),
                      "events": list(ring or [])}
@@ -346,45 +303,15 @@ def write_bundle(path: str, doc: dict, *, state: dict | None = None) -> str:
     """
     if not path.endswith(BUNDLE_SUFFIX):
         raise ValueError(f"bundle path must end with {BUNDLE_SUFFIX!r}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
     if state is not None:
         npz = path[: -len(".json")] + ".npz"
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
-                                   prefix=f".{os.path.basename(npz)}."
-                                          f"{os.getpid()}.")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(
-                    fh, **{k: np.asarray(v) for k, v in state.items()})
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, npz)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(npz, "wb") as fh:
+            np.savez_compressed(
+                fh, **{k: np.asarray(v) for k, v in state.items()})
         doc["excerpt"] = os.path.basename(npz)
         doc["fingerprint"] = _fingerprint(doc)
-
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp",
-                               prefix=f".{os.path.basename(path)}."
-                                      f"{os.getpid()}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
     return path
 
 

@@ -1,7 +1,7 @@
 """Fleet-level metric aggregation, exporters, and the live status view.
 
-The supervisor of :mod:`repro.ensemble` sees every member's compact
-metric snapshot ride in on the heartbeat queue; this module is where
+The supervisor of :mod:`repro.ensemble` sees every member's registry
+snapshot ride in on the heartbeat queue; this module is where
 those per-member views become *fleet* facts:
 
 * :class:`FleetAggregator` — folds member snapshots (associatively, via
@@ -30,20 +30,20 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 
+from ..io.atomic import atomic_write
 from .metrics import (
     METRICS_SCHEMA_VERSION,
     merge_snapshots,
     to_prometheus,
 )
+from .runlog import read_jsonl
 
 __all__ = [
     "FLEET_PROM",
     "FLEET_JSONL",
     "FleetAggregator",
-    "read_jsonl_tolerant",
     "status_rows",
     "status_lines",
     "watch_status",
@@ -67,27 +67,6 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
     hi = min(lo + 1, len(sorted_vals) - 1)
     frac = pos - lo
     return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
-
-
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via temp-file + rename (scrape-safe)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=f".{os.path.basename(path)}.",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class FleetAggregator:
@@ -254,42 +233,15 @@ class FleetAggregator:
         agg = self.aggregate(now)
         self._history.append(agg)
         del self._history[:-_HISTORY_MAX]
-        _atomic_write(os.path.join(out_dir, FLEET_PROM),
-                      self.to_prometheus(now))
-        _atomic_write(
-            os.path.join(out_dir, FLEET_JSONL),
-            "".join(json.dumps(rec) + "\n" for rec in self._history),
-        )
+        with atomic_write(os.path.join(out_dir, FLEET_PROM)) as fh:
+            fh.write(self.to_prometheus(now))
+        with atomic_write(os.path.join(out_dir, FLEET_JSONL)) as fh:
+            fh.write("".join(json.dumps(rec) + "\n" for rec in self._history))
         return agg
 
 
 # ----------------------------------------------------------------------
 # offline status view: everything below reads artifacts, not processes
-def read_jsonl_tolerant(path: str) -> list[dict]:
-    """Best-effort JSONL reader: skips torn/garbled lines, returns dicts.
-
-    The status view must render *while* workers are writing (or after
-    they were SIGKILLed mid-record), so unreadable lines are data loss we
-    tolerate, never an exception.
-    """
-    records: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(rec, dict):
-                    records.append(rec)
-    except OSError:
-        pass
-    return records
-
-
 def _member_dirs(run_dir: str) -> list[str]:
     """Member ids under an ensemble out-dir (subdirs holding a run log)."""
     try:
@@ -316,7 +268,7 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
     (terminal states).  Works mid-run and post-mortem alike.
     """
     now = time.time() if now is None else now
-    sup = read_jsonl_tolerant(os.path.join(run_dir, "ensemble.jsonl"))
+    sup = read_jsonl(os.path.join(run_dir, "ensemble.jsonl"))
     final: dict[str, str] = {}
     try:
         with open(os.path.join(run_dir, "ensemble.json"),
@@ -336,7 +288,7 @@ def status_rows(run_dir: str, now: float | None = None) -> list[dict]:
 
     rows = []
     for mid in member_ids:
-        records = read_jsonl_tolerant(os.path.join(run_dir, mid, "run.jsonl"))
+        records = read_jsonl(os.path.join(run_dir, mid, "run.jsonl"))
         beats = [r for r in records if r.get("event") == "heartbeat"]
         metrics = [r for r in records if r.get("event") == "metrics"]
         sup_mine = [r for r in sup if r.get("member") == mid]

@@ -1,63 +1,63 @@
-"""Typed fleet metrics: counters, gauges, histograms, ring-buffer series.
+"""The one instrumentation registry: counters, gauges, phase timers, spans
+and the flight-recorder ring, behind one ``enabled`` guard.
 
-The ensemble driver of :mod:`repro.ensemble` turns the repo into a
-many-process service, and a service needs *service* metrics: not the
-per-phase wall-time accounting of :mod:`repro.obs.telemetry` (which
-answers "where did this run spend its time"), but the operator questions
-— how far along is every member, how fast is the fleet advancing, is any
-run drifting toward divergence.  This module is the measurement
-substrate for that layer:
+The paper's performance story (Sec. 5-6) is told in per-kernel times,
+per-LTS-cluster update counts and communication/compute splits; the
+ensemble adds operator questions (how far along is every member, is one
+drifting toward divergence) and the black box the last steps before a
+fault.  All of it is recorded in one process-wide :class:`MetricRegistry`
+(:func:`get_metrics`):
 
-* :class:`MetricRegistry` — one process-wide registry of **typed**
-  metrics, mutated through three guarded entry points:
-  ``inc(name)`` (monotonic :class:`Counter`), ``set_gauge(name, v)``
-  (:class:`Gauge`, last-write-wins with a wall timestamp), and
-  ``observe(name, v)`` (:class:`Histogram` with fixed log-spaced
-  buckets).  Every metric additionally keeps a bounded ring-buffer
-  :class:`TimeSeries` of recent samples so a consumer can see the recent
-  trend, not just the current value.
-* **Guard discipline**: like ``Telemetry``, the registry is default-off
-  and the disabled path is one attribute check and a return — the
-  instrumented sites in the scheduler, watchdog and caches stay inside
-  the existing <2% disabled-overhead budget (locked by the
-  ``metrics_overhead`` bench kernel and a test-suite guard).
-* :func:`merge_snapshots` — an **associative** fold of two snapshots
-  (counters sum, gauges keep the newest sample, histograms add
-  bucket-wise, series take the multiset union trimmed to capacity), so
-  the supervisor's :class:`~repro.obs.fleet.FleetAggregator` can fold
-  member snapshots in any grouping and get the same fleet totals
-  (property-tested with hypothesis).
-* Prometheus **text exposition**: :func:`to_prometheus` renders a
-  snapshot in the textfile-collector format (``# TYPE`` headers,
-  cumulative ``_bucket{le=...}`` histograms, optional constant labels)
-  and :func:`validate_prometheus` is the strict line-format checker CI
-  runs against every exported ``.prom`` file.
+* **counters** (``inc``) and **gauges** (``set_gauge``, last write wins,
+  wall-timestamped);
+* **phase timers** — ``with met.phase("kernels/volume"): ...`` times a
+  block under a hierarchical, thread-local path (``step/predict``; worker
+  threads accumulate *busy* time).  A phase is a log-bucketed
+  :class:`Histogram` of seconds: ``sum`` = seconds, ``count`` = calls
+  (:func:`phases` is that view).  ``interval`` records a hand-measured
+  span the same way (the partitioned workers' halo-gather/compute split);
+* **one bounded ring** of recent events: flight-recorder events
+  (``record_micro``/``record_step``/``record``) are appended *always*,
+  even with the registry off — the safety net :mod:`repro.obs.blackbox`
+  dumps on a fault; with tracing on, every phase, interval and ``span``
+  is appended too.  The ring holds :data:`RING_CAPACITY` entries, or
+  :data:`TRACE_RING_CAPACITY` while tracing; the oldest fall off and are
+  counted as dropped.  :meth:`MetricRegistry.mark` lets a run read only
+  the entries appended since it started.
 
-Metric *names* are free-form paths (``lts/updates/c0``); the exporter
-sanitizes them to the Prometheus grammar.  The wire snapshot is
+The registry is default-off: every site but the recorder append is one
+attribute check and a return, and ``phase()`` returns a shared null
+context manager.  The ``obs_overhead`` bench kernel and a test hold all
+site kinds below 2 % of a step.  Every exporter reads this registry: the
+``--profile`` report, the run log's ``metrics``/``run_end`` records, the
+Chrome trace (:meth:`MetricRegistry.trace_snapshot`), diagnostic bundles
+and :func:`to_prometheus` (checked by :func:`validate_prometheus`).
+:func:`merge_snapshots` folds member snapshots associatively, so the
+supervisor's fleet totals agree in any grouping; the snapshot is
 schema-versioned (:data:`METRICS_SCHEMA_VERSION`) because it crosses
-process boundaries: ensemble workers piggyback :meth:`compact` snapshots
-on heartbeat queue messages and append them to durable run logs as
-``metrics`` records.
+process boundaries.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import threading
 import time
+from collections import deque
 
 __all__ = [
     "METRICS_SCHEMA_VERSION",
-    "DEFAULT_SERIES_CAPACITY",
+    "RING_CAPACITY",
+    "TRACE_RING_CAPACITY",
     "Counter",
     "Gauge",
     "Histogram",
-    "TimeSeries",
     "MetricRegistry",
     "get_metrics",
     "default_log_buckets",
+    "phases",
     "merge_snapshots",
     "to_prometheus",
     "validate_prometheus",
@@ -67,15 +67,18 @@ __all__ = [
 #: boundaries: heartbeat queues, durable run logs, fleet aggregates)
 METRICS_SCHEMA_VERSION = 1
 
-#: ring-buffer samples kept per metric (the recent trend, not the history)
-DEFAULT_SERIES_CAPACITY = 256
+#: ring entries kept without tracing: the flight recorder's recent events
+#: (micro-step windows + per-step gauges + sparse events, not steps)
+RING_CAPACITY = 256
+
+#: ring entries kept while tracing: ~60 bytes/span -> tens of MB at worst
+TRACE_RING_CAPACITY = 1_000_000
 
 
 def default_log_buckets(lo: float = 1e-6, hi: float = 1e6) -> tuple:
     """Fixed log-spaced histogram bucket upper bounds, one per decade.
 
-    Spanning 1e-6..1e6 covers every quantity the producers observe —
-    step wall times, checkpoint sizes in MB, wall rates — without
+    Spanning 1e-6..1e6 covers every phase duration in seconds without
     per-metric tuning; values above ``hi`` land in the implicit +Inf
     overflow bucket.
     """
@@ -83,161 +86,170 @@ def default_log_buckets(lo: float = 1e-6, hi: float = 1e6) -> tuple:
     return tuple(lo * 10.0**k for k in range(n + 1))
 
 
-class TimeSeries:
-    """Bounded ring buffer of ``(wall_time, value)`` samples.
-
-    Appends past capacity overwrite the oldest sample (and are counted
-    in ``dropped``) — a long-running member must never grow its metric
-    memory without bound.  Not locked: the owning registry serializes
-    access.
-    """
-
-    __slots__ = ("capacity", "dropped", "_t", "_v", "_head", "_n")
-
-    def __init__(self, capacity: int = DEFAULT_SERIES_CAPACITY):
-        if capacity < 1:
-            raise ValueError("series capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.dropped = 0
-        self._t: list[float] = []
-        self._v: list[float] = []
-        self._head = 0  # index of the oldest sample once the ring is full
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, t: float, v: float) -> None:
-        if self._n < self.capacity:
-            self._t.append(t)
-            self._v.append(v)
-            self._n += 1
-        else:
-            self._t[self._head] = t
-            self._v[self._head] = v
-            self._head = (self._head + 1) % self.capacity
-            self.dropped += 1
-
-    def samples(self) -> tuple[list[float], list[float]]:
-        """``(times, values)`` in append order, oldest first."""
-        if self._n < self.capacity:
-            return list(self._t), list(self._v)
-        idx = list(range(self._head, self.capacity)) + list(range(self._head))
-        return [self._t[i] for i in idx], [self._v[i] for i in idx]
+_BOUNDS = default_log_buckets()
 
 
 class Counter:
-    """Monotonic counter with a sample series of its cumulative value."""
+    """Monotonic counter."""
 
-    __slots__ = ("value", "series")
+    __slots__ = ("value",)
     kind = "counter"
 
-    def __init__(self, series_capacity: int = DEFAULT_SERIES_CAPACITY):
+    def __init__(self):
         self.value = 0
-        self.series = TimeSeries(series_capacity)
 
-    def inc(self, n: int, t: float) -> None:
+    def inc(self, n: int) -> None:
         if n < 0:
             raise ValueError("counters are monotonic; inc() needs n >= 0")
         self.value += n
-        self.series.append(t, float(self.value))
 
 
 class Gauge:
     """Last-write-wins sampled value with its wall timestamp."""
 
-    __slots__ = ("value", "t", "series")
+    __slots__ = ("value", "t")
     kind = "gauge"
 
-    def __init__(self, series_capacity: int = DEFAULT_SERIES_CAPACITY):
+    def __init__(self):
         self.value = 0.0
         self.t = 0.0
-        self.series = TimeSeries(series_capacity)
 
     def set(self, v: float, t: float) -> None:
         self.value = float(v)
         self.t = t
-        self.series.append(t, float(v))
 
 
 class Histogram:
-    """Fixed-bucket histogram (non-cumulative counts + sum + count).
+    """Fixed log-bucket histogram (non-cumulative counts + sum + count).
 
-    ``bounds`` are the upper edges of the finite buckets; one implicit
-    overflow bucket catches everything above ``bounds[-1]`` (so
-    ``len(counts) == len(bounds) + 1``).  The exporter renders the
-    cumulative ``le=`` form Prometheus prescribes.
+    ``bounds`` (:func:`default_log_buckets`) are the upper edges of the
+    finite buckets; one implicit overflow bucket catches everything above
+    ``bounds[-1]`` (so ``len(counts) == len(bounds) + 1``).  The exporter
+    renders the cumulative ``le=`` form Prometheus prescribes.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count", "series")
+    __slots__ = ("counts", "sum", "count")
     kind = "histogram"
+    bounds = _BOUNDS
 
-    def __init__(self, bounds=None,
-                 series_capacity: int = DEFAULT_SERIES_CAPACITY):
-        bounds = default_log_buckets() if bounds is None else tuple(bounds)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("histogram bounds must be non-empty and increasing")
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
+    def __init__(self):
+        self.counts = [0] * (len(_BOUNDS) + 1)
         self.sum = 0.0
         self.count = 0
-        self.series = TimeSeries(series_capacity)
 
-    def observe(self, v: float, t: float) -> None:
-        v = float(v)
-        i = 0
-        for i, b in enumerate(self.bounds):  # noqa: B007 - i survives the loop
-            if v <= b:
-                break
-        else:
-            i = len(self.bounds)
-        self.counts[i] += 1
+    def observe(self, v: float) -> None:
+        self.counts[bisect.bisect_left(_BOUNDS, v)] += 1
         self.sum += v
         self.count += 1
-        self.series.append(t, v)
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+class _NullContext:
+    """Shared do-nothing context manager: the disabled fast path."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+
+_NULL = _NullContext()
+
+
+class _Timer:
+    """Context manager timing one block: a phase under the current path
+    (``args is None``), or a trace-only span carrying ``args``."""
+
+    __slots__ = ("_reg", "_name", "_args", "_t0")
+
+    def __init__(self, reg: "MetricRegistry", name: str, args: dict | None):
+        self._reg = reg
+        self._name = name
+        self._args = args
+
+    def __enter__(self):
+        if self._args is None:
+            stack = self._reg._stack()
+            stack.append(self._name if not stack else f"{stack[-1]}/{self._name}")
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        t1 = time.perf_counter()
+        reg = self._reg
+        if self._args is None:
+            reg._time(reg._stack().pop(), self._t0, t1, None)
+        else:
+            with reg._lock:
+                reg._push_span(self._name, self._t0, t1, self._args or None)
+        return False
 
 
 class MetricRegistry:
-    """Process-wide typed metric registry (default off, thread-safe).
+    """Process-wide instrumentation registry (default off, thread-safe).
 
-    The mutation entry points (:meth:`inc` / :meth:`set_gauge` /
-    :meth:`observe`) create the metric on first use and pin its type —
-    re-using a name with a different type is a programming error and
-    raises.  All mutation is lock-protected; the disabled path touches
-    no lock.
+    The metric entry points (:meth:`inc` / :meth:`set_gauge` /
+    :meth:`phase` / :meth:`interval`) create the metric on first use and
+    pin its type — re-using a name with a different type is a programming
+    error and raises.  All mutation is lock-protected; the disabled path
+    touches no lock.
     """
 
-    def __init__(self, series_capacity: int = DEFAULT_SERIES_CAPACITY):
+    def __init__(self):
         self.enabled = False
-        self.series_capacity = int(series_capacity)
+        #: whether phases, intervals and spans also go into the ring
+        self.tracing = False
         self._lock = threading.Lock()
+        self._local = threading.local()
         self._metrics: dict[str, object] = {}
+        self._ring: deque = deque(maxlen=RING_CAPACITY)
+        self._threads: dict[int, str] = {}
+        #: ring appends over the registry's lifetime (positions for mark())
+        self._seq = 0
+        #: ``_seq`` at the last reset (appends since then minus the ring
+        #: length are the entries that fell off)
+        self._seq0 = 0
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
+    def enable(self, trace: bool = False) -> None:
+        """Switch recording on; ``trace=True`` also appends every phase,
+        interval and span to the ring and grows it to
+        :data:`TRACE_RING_CAPACITY`.  Trace mode is decided per enable: a
+        plain ``enable()`` shrinks the ring back and drops earlier spans
+        (flight-recorder events are kept)."""
+        cap = TRACE_RING_CAPACITY if trace else RING_CAPACITY
+        with self._lock:
+            if self._ring.maxlen != cap:
+                kept = self._ring if trace else (
+                    e for e in self._ring if e[0] != "span")
+                self._ring = deque(kept, maxlen=cap)
+            self.tracing = bool(trace)
+            self.enabled = True
 
     def disable(self) -> None:
+        """Stop recording metrics and spans (the ring stays readable and
+        keeps taking flight-recorder events)."""
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every metric (the enabled flag is unchanged)."""
+        """Drop every metric and ring entry (enabled flag and trace mode
+        unchanged)."""
         with self._lock:
             self._metrics.clear()
+            self._ring.clear()
+            self._threads.clear()
+            self._seq0 = self._seq
 
-    # -- recording ------------------------------------------------------
-    def _get(self, name: str, kind: str, **kwargs):
+    # -- metrics ----------------------------------------------------------
+    def _get(self, name: str, cls):
         m = self._metrics.get(name)
         if m is None:
-            m = _KINDS[kind](series_capacity=self.series_capacity, **kwargs) \
-                if kwargs else _KINDS[kind](series_capacity=self.series_capacity)
-            self._metrics[name] = m
-        elif m.kind != kind:
+            m = self._metrics[name] = cls()
+        elif m.kind != cls.kind:
             raise ValueError(
-                f"metric {name!r} is a {m.kind}, not a {kind} "
+                f"metric {name!r} is a {m.kind}, not a {cls.kind} "
                 "(names pin their type on first use)"
             )
         return m
@@ -247,42 +259,107 @@ class MetricRegistry:
         if not self.enabled:
             return
         with self._lock:
-            self._get(name, "counter").inc(int(n), time.time())
+            self._get(name, Counter).inc(int(n))
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value`` (timestamped now)."""
         if not self.enabled:
             return
         with self._lock:
-            self._get(name, "gauge").set(value, time.time())
+            self._get(name, Gauge).set(value, time.time())
 
-    def observe(self, name: str, value: float, bounds=None) -> None:
-        """Record ``value`` into the histogram ``name``.
+    def _stack(self) -> list:
+        st = getattr(self._local, "stack", None)
+        if st is None:
+            st = self._local.stack = []
+        return st
 
-        ``bounds`` fixes the bucket edges on first use (default: the
-        log-spaced decades of :func:`default_log_buckets`).
-        """
+    def phase(self, name: str):
+        """Timed context manager under the current phase path; a shared
+        no-op when the registry is off."""
         if not self.enabled:
-            return
-        with self._lock:
-            if bounds is not None and name not in self._metrics:
-                self._metrics[name] = Histogram(
-                    bounds, series_capacity=self.series_capacity)
-            self._get(name, "histogram").observe(value, time.time())
+            return _NULL
+        return _Timer(self, name, None)
 
-    # -- reading --------------------------------------------------------
+    def interval(self, name: str, t0: float, t1: float, **args) -> None:
+        """Record a hand-measured ``perf_counter`` interval under ``name``
+        (and as a span carrying ``args`` when tracing)."""
+        if self.enabled:
+            self._time(name, t0, t1, args or None)
+
+    def span(self, name: str, **args):
+        """Trace-only context manager carrying structured ``args``.
+
+        Appends one span (no phase histogram) when tracing is on; a shared
+        no-op otherwise.  Use for coarse scheduler-level slices — one LTS
+        cluster step — where the span's identity (cluster id, element
+        count) matters more than its aggregate time.
+        """
+        if not (self.enabled and self.tracing):
+            return _NULL
+        return _Timer(self, name, args)
+
+    def _time(self, path: str, t0: float, t1: float, args) -> None:
+        with self._lock:
+            self._get(path, Histogram).observe(t1 - t0)
+            if self.tracing:
+                self._push_span(path, t0, t1, args)
+
+    # -- the ring ---------------------------------------------------------
+    def _push_span(self, name, t0, t1, args) -> None:
+        """Append one span (caller holds the lock)."""
+        tid = threading.get_ident()
+        if tid not in self._threads:
+            self._threads[tid] = threading.current_thread().name
+        self._ring.append(("span", name, float(t0), float(t1), tid, args))
+        self._seq += 1
+
+    def _push(self, entry: tuple) -> None:
+        with self._lock:
+            self._ring.append(entry)
+            self._seq += 1
+
+    def record_micro(self, index, cluster, t_int, dt) -> None:
+        """Flight recorder: one scheduler micro-step window (always on)."""
+        self._push(("micro", index, cluster, t_int, dt))
+
+    def record_step(self, step, t, dt, energy=None, dt_scale=None) -> None:
+        """Flight recorder: one supervised step/sync sweep with its physics
+        gauges (always on)."""
+        self._push(("step", step, t, dt, energy, dt_scale))
+
+    def record(self, kind: str, **fields) -> None:
+        """Flight recorder: a sparse named event — checkpoint, recovery,
+        resume (always on)."""
+        self._push((kind, fields))
+
+    def subscribe(self, bus) -> None:
+        """Record every scheduler micro-step window off a
+        :class:`~repro.sched.HookBus` (cluster/window ids in the ring)."""
+        bus.on_micro_step(lambda s, ev: self.record_micro(
+            ev.index, ev.cluster, ev.t_int, ev.dt))
+
+    def mark(self) -> int:
+        """Current ring position, for :meth:`entries` ``since``."""
+        return self._seq
+
+    def entries(self, since: int = 0) -> list[tuple]:
+        """Raw ring entries appended at or after position ``since``
+        (a :meth:`mark`), oldest first."""
+        with self._lock:
+            n = min(len(self._ring), self._seq - since)
+            return list(self._ring)[len(self._ring) - n:] if n > 0 else []
+
+    # -- reading ----------------------------------------------------------
     def value(self, name: str):
         """Current value of a counter/gauge (``None`` if absent)."""
         with self._lock:
             m = self._metrics.get(name)
             return None if m is None or m.kind == "histogram" else m.value
 
-    def snapshot(self, series: bool = True) -> dict:
-        """Consistent, JSON-able copy of every metric.
-
-        ``series=False`` omits the ring buffers — the compact wire form
-        workers piggyback on heartbeat messages.
-        """
+    def snapshot(self) -> dict:
+        """Consistent, JSON-able copy of every metric — the wire form
+        workers piggyback on heartbeat messages."""
         with self._lock:
             out: dict = {
                 "schema": METRICS_SCHEMA_VERSION,
@@ -290,8 +367,6 @@ class MetricRegistry:
                 "gauges": {},
                 "histograms": {},
             }
-            if series:
-                out["series"] = {}
             for name in sorted(self._metrics):
                 m = self._metrics[name]
                 if m.kind == "counter":
@@ -305,26 +380,35 @@ class MetricRegistry:
                         "sum": m.sum,
                         "count": int(m.count),
                     }
-                if series:
-                    t, v = m.series.samples()
-                    out["series"][name] = {
-                        "kind": m.kind, "t": t, "v": v,
-                        "dropped": int(m.series.dropped),
-                        "capacity": int(m.series.capacity),
-                    }
             return out
 
-    def compact(self) -> dict:
-        """Alias for ``snapshot(series=False)`` — the heartbeat payload."""
-        return self.snapshot(series=False)
+    def trace_snapshot(self) -> dict:
+        """The ring's spans for :func:`repro.obs.trace.chrome_trace`:
+        ``{"spans": [(name, t0, t1, tid, args), ...], "threads": {tid:
+        name}, "dropped": n, "capacity": n}``, spans sorted by begin."""
+        with self._lock:
+            spans = [e[1:] for e in self._ring if e[0] == "span"]
+            return {
+                "spans": sorted(spans, key=lambda s: s[1]),
+                "threads": dict(self._threads),
+                "dropped": self._seq - self._seq0 - len(self._ring),
+                "capacity": self._ring.maxlen,
+            }
 
 
 _METRICS = MetricRegistry()
 
 
 def get_metrics() -> MetricRegistry:
-    """The process-wide metric registry."""
+    """The process-wide instrumentation registry."""
     return _METRICS
+
+
+def phases(snapshot: dict) -> dict:
+    """Phase-timer view of a snapshot: ``{path: {"seconds", "calls"}}``
+    (every histogram is a phase timer: sum = seconds, count = calls)."""
+    return {name: {"seconds": h["sum"], "calls": int(h["count"])}
+            for name, h in snapshot.get("histograms", {}).items()}
 
 
 # ----------------------------------------------------------------------
@@ -334,12 +418,8 @@ def merge_snapshots(a: dict | None, b: dict | None) -> dict:
     * counters: sum;
     * gauges: the sample with the lexicographically larger ``(t, value)``
       wins (pure max, so any fold order agrees);
-    * histograms: bucket-wise sum (bounds must match — they are fixed by
-      :func:`default_log_buckets` or the producer, and folding disjoint
-      bucketings has no meaning);
-    * series: multiset union of samples sorted by ``(t, v)``, trimmed to
-      the larger capacity keeping the newest — a function of the sample
-      multiset only, hence associative.
+    * histograms: bucket-wise sum (bounds must match — folding disjoint
+      bucketings has no meaning).
 
     ``None`` operands act as the identity, so a fold over an empty
     member list yields the empty snapshot.
@@ -355,8 +435,6 @@ def merge_snapshots(a: dict | None, b: dict | None) -> dict:
         "gauges": {k: dict(v) for k, v in a.get("gauges", {}).items()},
         "histograms": {k: dict(v) for k, v in a.get("histograms", {}).items()},
     }
-    if "series" in a:
-        out["series"] = {k: dict(v) for k, v in a["series"].items()}
     if b is None:
         return out
     for name, v in b.get("counters", {}).items():
@@ -381,27 +459,7 @@ def merge_snapshots(a: dict | None, b: dict | None) -> dict:
             "sum": cur["sum"] + h["sum"],
             "count": int(cur["count"]) + int(h["count"]),
         }
-    if "series" in b:
-        out.setdefault("series", {})
-        for name, s in b["series"].items():
-            cur = out["series"].get(name)
-            if cur is None:
-                out["series"][name] = dict(s)
-                continue
-            cap = max(int(cur.get("capacity", DEFAULT_SERIES_CAPACITY)),
-                      int(s.get("capacity", DEFAULT_SERIES_CAPACITY)))
-            merged = sorted(
-                list(zip(cur["t"], cur["v"])) + list(zip(s["t"], s["v"]))
-            )[-cap:]
-            out["series"][name] = {
-                "kind": s.get("kind", cur.get("kind")),
-                "t": [t for t, _ in merged],
-                "v": [v for _, v in merged],
-                "dropped": int(cur.get("dropped", 0)) + int(s.get("dropped", 0)),
-                "capacity": cap,
-            }
     return out
-
 
 # ----------------------------------------------------------------------
 _NAME_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")

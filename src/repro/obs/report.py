@@ -1,6 +1,6 @@
 """Measured-vs-modeled performance accounting and run-log summaries.
 
-Converts the telemetry collected during a profiled run (phase times +
+Converts the registry snapshot of a profiled run (phase times +
 element-update counters) into the paper's Sec. 5 currency — achieved
 GFLOP/s per kernel against the analytical roofline of
 :mod:`repro.hpc.perfmodel` — and renders human-readable summaries of
@@ -21,20 +21,21 @@ Accounting conventions:
   maintained by the execution backends, so LTS runs are credited for the
   updates they actually performed, not for GTS-equivalent sweeps.
 
-The modeled roofline needs a node: by default the paper's Sec. 5.1 AMD
-Rome test system (so "efficiency" reads as *fraction of what the paper's
-calibrated machine model attains*, which for a NumPy reproduction is
-honestly tiny), or ``--node local`` for a nominal model of the executing
-host.
+The modeled roofline needs a node: by default (:data:`DEFAULT_NODE`) a
+nominal model of the executing host, the same default ``repro bench``
+uses, so a profile rates the run against the machine it ran on;
+``--node rome`` rates it against the paper's Sec. 5.1 AMD Rome test
+system instead (the fraction of what the paper's calibrated machine
+model attains, which for a NumPy reproduction is honestly tiny).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
 __all__ = [
+    "DEFAULT_NODE",
     "KNOWN_NODES",
     "node_spec",
     "phase_total",
@@ -81,6 +82,10 @@ def _node_specs() -> dict:
 #: node names accepted by ``obs-report --node`` (resolved lazily)
 KNOWN_NODES = ("rome", "mahti", "supermuc-ng", "shaheen2", "local")
 
+#: the roofline node of ``--profile``, ``obs-report`` and ``repro bench``:
+#: a nominal model of the host the run executed on
+DEFAULT_NODE = "local"
+
 
 def node_spec(node):
     """Resolve a :data:`KNOWN_NODES` name to its
@@ -101,7 +106,7 @@ def phase_total(phases: dict, key: str) -> float:
     suffix = "/" + key
     for path, cell in phases.items():
         if path == key or path.endswith(suffix):
-            total += cell["seconds"] if isinstance(cell, dict) else cell[0]
+            total += cell["seconds"]
     return total
 
 
@@ -115,10 +120,9 @@ def worker_split(phases: dict) -> dict:
         m = _WORKER_RE.search(path)
         if not m:
             continue
-        part = int(m.group(1))
-        seconds = cell["seconds"] if isinstance(cell, dict) else cell[0]
-        slot = out.setdefault(part, {"halo_s": 0.0, "compute_s": 0.0})
-        slot["halo_s" if m.group(2) == "halo_gather" else "compute_s"] += seconds
+        slot = out.setdefault(int(m.group(1)), {"halo_s": 0.0, "compute_s": 0.0})
+        slot["halo_s" if m.group(2) == "halo_gather" else "compute_s"] += \
+            cell["seconds"]
     for slot in out.values():
         busy = slot["halo_s"] + slot["compute_s"]
         slot["halo_fraction"] = slot["halo_s"] / busy if busy > 0 else 0.0
@@ -126,7 +130,7 @@ def worker_split(phases: dict) -> dict:
 
 
 def lts_cluster_updates(counters: dict) -> dict:
-    """``{cluster: {"updates", "elem_updates"}}`` from telemetry counters."""
+    """``{cluster: {"updates", "elem_updates"}}`` from registry counters."""
     out: dict[int, dict] = {}
     for name, value in counters.items():
         m = _LTS_RE.match(name)
@@ -139,7 +143,7 @@ def lts_cluster_updates(counters: dict) -> dict:
 
 # ----------------------------------------------------------------------
 def roofline_rows(phases: dict, counters: dict, order: int,
-                  node: str | object = "rome",
+                  node: str | object = DEFAULT_NODE,
                   variant: str = "batched") -> list[dict]:
     """Measured-vs-modeled roofline rows for the predictor and corrector.
 
@@ -185,27 +189,24 @@ def roofline_rows(phases: dict, counters: dict, order: int,
 
 # ----------------------------------------------------------------------
 def profile_lines(snapshot: dict, order: int | None = None,
-                  wall_s: float | None = None, node: str | object = "rome",
+                  wall_s: float | None = None,
+                  node: str | object = DEFAULT_NODE,
                   top: int = 20, variant: str = "batched") -> list[str]:
-    """Render a telemetry snapshot as the per-phase + roofline report."""
+    """Render ``{"phases", "counters"}`` (a run_end record, or
+    :func:`~repro.obs.metrics.phases` + counters of a registry snapshot)
+    as the per-phase + roofline report."""
     phases = snapshot.get("phases", {})
     counters = snapshot.get("counters", {})
     lines: list[str] = []
 
-    def seconds_of(cell):
-        return cell["seconds"] if isinstance(cell, dict) else cell[0]
-
-    def calls_of(cell):
-        return cell["calls"] if isinstance(cell, dict) else cell[1]
-
     if phases:
         lines.append("phase breakdown (busy seconds, accumulated across threads):")
         lines.append(f"  {'phase':40} {'calls':>9} {'seconds':>10} {'% wall':>7}")
-        ranked = sorted(phases.items(), key=lambda kv: -seconds_of(kv[1]))
+        ranked = sorted(phases.items(), key=lambda kv: -kv[1]["seconds"])
         for path, cell in ranked[:top]:
-            sec = seconds_of(cell)
+            sec = cell["seconds"]
             pct = f"{100.0 * sec / wall_s:6.1f}%" if wall_s else "      -"
-            lines.append(f"  {path:40} {calls_of(cell):>9} {sec:>10.4f} {pct:>7}")
+            lines.append(f"  {path:40} {cell['calls']:>9} {sec:>10.4f} {pct:>7}")
         if len(ranked) > top:
             lines.append(f"  ... {len(ranked) - top} more phases")
 
@@ -270,13 +271,14 @@ def _num(value, spec: str, missing: str = "?") -> str:
         return missing
 
 
-def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
+def summarize_runlog(path: str, node: str = DEFAULT_NODE,
+                     check: bool = False) -> int:
     """Print a summary of a JSONL run log; returns a process exit code.
 
     With ``check=True`` the log is validated against the schema first and
     a non-zero code is returned when any record is malformed.
     """
-    from .runlog import validate_jsonl
+    from .runlog import read_jsonl, validate_jsonl
 
     result = validate_jsonl(path)
     if check:
@@ -290,24 +292,16 @@ def summarize_runlog(path: str, node: str = "rome", check: bool = False) -> int:
 
     manifests, heartbeats, recoveries = [], [], []
     run_end = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            event = rec.get("event")
-            if event == "manifest":
-                manifests.append(rec)
-            elif event == "heartbeat":
-                heartbeats.append(rec)
-            elif event in ("recovery", "diverged"):
-                recoveries.append(rec)
-            elif event == "run_end":
-                run_end = rec
+    for rec in read_jsonl(path):
+        event = rec.get("event")
+        if event == "manifest":
+            manifests.append(rec)
+        elif event == "heartbeat":
+            heartbeats.append(rec)
+        elif event in ("recovery", "diverged"):
+            recoveries.append(rec)
+        elif event == "run_end":
+            run_end = rec
 
     print(f"== run log {path} ==")
     if manifests:

@@ -26,11 +26,11 @@ Events
     diagnostic-bundle path the black-box flight recorder dumped for the
     failure (``null`` when no bundle directory was configured).
 ``run_end``
-    Final record: step totals, wall time, and the full telemetry
-    snapshot (phases + counters) when profiling was enabled.
+    Final record: step totals, wall time, and the phase timers and
+    counters of the instrumentation registry's snapshot when it was on.
 ``metrics``
-    Periodic typed-metric snapshot (:meth:`repro.obs.metrics.
-    MetricRegistry.compact`): the durable twin of the compact snapshot a
+    Periodic registry snapshot (:meth:`repro.obs.metrics.
+    MetricRegistry.snapshot`): the durable twin of the snapshot a
     worker piggybacks on its heartbeat queue messages, so fleet totals
     can be audited against per-member logs after the fact.  Schema v2
     made ``step``/``sim_t``/``metrics`` required (v1 had no required
@@ -64,6 +64,8 @@ __all__ = [
     "run_manifest",
     "validate_record",
     "validate_jsonl",
+    "iter_jsonl",
+    "read_jsonl",
 ]
 
 #: Bumped whenever the record envelope or required fields change.
@@ -98,6 +100,20 @@ EVENT_FIELDS: dict[str, tuple] = {
 }
 
 _ENVELOPE = ("event", "seq", "wall", "run_id")
+
+
+def _encode(rec: dict) -> str:
+    """One record as a JSON line.
+
+    Records are plain JSON types except for the odd numpy value, so the
+    encoder hands only those leaves to :func:`_jsonable` instead of
+    walking every number of a metrics snapshot in Python; dict keys it
+    rejects (numpy integers) take the full walk.
+    """
+    try:
+        return json.dumps(rec, default=_jsonable)
+    except TypeError:
+        return json.dumps(_jsonable(rec))
 
 
 def _jsonable(obj):
@@ -151,7 +167,7 @@ class RunLog:
             rec = {"event": event, "seq": self._seq, "wall": time.time(),
                    "run_id": self.run_id}
             rec.update(fields)
-            self._fh.write(json.dumps(_jsonable(rec)) + "\n")
+            self._fh.write(_encode(rec) + "\n")
             self._fh.flush()
             if self.durable:
                 os.fsync(self._fh.fileno())
@@ -250,6 +266,33 @@ def validate_record(rec) -> list[str]:
     if "wall" in rec and not isinstance(rec["wall"], (int, float)):
         errors.append("wall is not a number")
     return errors
+
+
+def iter_jsonl(path: str):
+    """Yield ``(lineno, record)`` for every line of a JSONL file that
+    decodes to a JSON object, skipping the rest.
+
+    The tolerant reader of every consumer that must render *while* a run
+    is writing (or after it was SIGKILLed mid-record): torn, garbled or
+    non-object lines and an unreadable file are data loss it tolerates,
+    never an exception.  :func:`validate_jsonl` is the strict counterpart.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(rec, dict):
+                    yield lineno, rec
+    except OSError:
+        return
+
+
+def read_jsonl(path: str) -> list[dict]:
+    """Every object record of a JSONL file (see :func:`iter_jsonl`)."""
+    return [rec for _, rec in iter_jsonl(path)]
 
 
 def validate_jsonl(path: str) -> dict:

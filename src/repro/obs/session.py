@@ -1,19 +1,23 @@
 """One-stop observability wiring for examples and the CLI.
 
 :class:`ObsSession` bundles the observability features behind the shared
-``--profile`` / ``--trace`` / ``--log-json`` / ``--heartbeat-every``
-flags:
+``--profile`` / ``--trace`` / ``--metrics`` / ``--log-json`` /
+``--heartbeat-every`` flags.  ``profile``, ``trace`` and ``metrics`` are
+exporter selectors: each switches the one instrumentation registry
+(:func:`~repro.obs.metrics.get_metrics`) on for the run, and each reads
+its output from the same registry:
 
-* ``profile=True`` enables the global :class:`~repro.obs.telemetry.Telemetry`
-  registry for the run and prints the per-phase + roofline report at the
-  end;
-* ``trace=PATH`` enables the registry in span-tracing mode and exports a
-  Chrome-trace / Perfetto JSON timeline to ``PATH`` at the end (open it
-  at https://ui.perfetto.dev, or summarize with ``python -m repro
-  obs-trace PATH``); composes freely with ``profile``;
+* ``profile=True`` prints the per-phase + roofline report at the end;
+* ``trace=PATH`` also records spans into the registry's ring and exports
+  a Chrome-trace / Perfetto JSON timeline to ``PATH`` at the end (open
+  it at https://ui.perfetto.dev, or summarize with ``python -m repro
+  obs-trace PATH``);
+* ``metrics=True`` persists a registry snapshot as a ``metrics`` run-log
+  record with every heartbeat (when logging is on);
 * ``log_json=PATH`` opens a structured :class:`~repro.obs.runlog.RunLog`
   and writes the run manifest, periodic heartbeats and the final
-  ``run_end`` record (resilience events are routed into the same log by
+  ``run_end`` record, whose ``phases``/``counters`` come from the
+  registry snapshot (resilience events are routed into the same log by
   passing ``session.runlog`` to ``ResilientRunner``);
 * ``heartbeat_every=N`` controls the heartbeat period in steps (default
   10 when logging is on).  Without a run log, an explicit ``N`` prints
@@ -37,32 +41,25 @@ from __future__ import annotations
 
 import time
 
-from .metrics import get_metrics
+from .metrics import get_metrics, phases
 from .runlog import RunLog, run_manifest
-from .telemetry import get_telemetry
 
 __all__ = ["ObsSession", "add_obs_args", "obs_kwargs"]
 
 
 class ObsSession:
-    """Run-scoped bundle of telemetry, run log and heartbeat emission.
-
-    ``metrics=True`` additionally enables the typed fleet-metric registry
-    (:mod:`repro.obs.metrics`) for the run: the scheduler, watchdog and
-    caches populate it, heartbeats persist compact snapshots as
-    ``metrics`` run-log records when logging is on, and ``finish()``
-    disables the registry again.
-    """
+    """Run-scoped bundle of the registry's exporters, run log and
+    heartbeat emission (``finish()`` switches a session-enabled registry
+    off again)."""
 
     def __init__(self, profile: bool = False, log_json: str | None = None,
                  heartbeat_every: int | None = None,
-                 config: dict | None = None, node: str = "rome",
+                 config: dict | None = None,
                  trace: str | None = None, metrics: bool = False):
         self.profile = bool(profile)
         self.trace = trace
         self.metrics = bool(metrics)
         self.config = dict(config or {})
-        self.node = node
         self.runlog = RunLog(log_json) if log_json else None
         if heartbeat_every is None:
             heartbeat_every = 10 if self.runlog is not None else 0
@@ -71,21 +68,18 @@ class ObsSession:
         self._t0 = None
         self._hb_t = None
         self._hb_step = 0
-        self._owns_registry = self.profile or self.trace is not None
+        self._owns_registry = (self.profile or self.trace is not None
+                               or self.metrics)
         if self._owns_registry:
-            tel = get_telemetry()
-            tel.reset()
-            tel.enable(trace=self.trace is not None)
-        if self.metrics:
             met = get_metrics()
             met.reset()
-            met.enable()
+            met.enable(trace=self.trace is not None)
 
     @property
     def active(self) -> bool:
         """Whether any observability feature is switched on."""
-        return (self.profile or self.trace is not None or self.metrics
-                or self.runlog is not None or self.heartbeat_every > 0)
+        return (self._owns_registry or self.runlog is not None
+                or self.heartbeat_every > 0)
 
     # ------------------------------------------------------------------
     def start(self, solver=None, resumed: bool = False) -> None:
@@ -117,7 +111,7 @@ class ObsSession:
                 if self.metrics:
                     self.runlog.emit(
                         "metrics", step=self.steps, sim_t=float(solver.t),
-                        metrics=get_metrics().compact(),
+                        metrics=get_metrics().snapshot(),
                     )
                 self.runlog.emit(
                     "heartbeat",
@@ -165,18 +159,19 @@ class ObsSession:
         Wrapped in try/finally: whatever the export/emission/rendering
         steps raise, the run log is closed and a session-enabled registry
         is disabled — an exception mid-finish must not leak an open log
-        file or leave telemetry globally on for unrelated code.
+        file or leave the registry globally on for unrelated code.
         """
         wall = (time.perf_counter() - self._t0) if self._t0 is not None else 0.0
-        tel = get_telemetry()
+        met = get_metrics()
         try:
-            snap = (tel.snapshot() if self._owns_registry
-                    else {"phases": {}, "counters": {}})
+            snap = met.snapshot() if self._owns_registry else {}
+            profile = {"phases": phases(snap),
+                       "counters": snap.get("counters", {})}
             if self.trace is not None:
                 from .trace import export_chrome_trace
 
                 doc = export_chrome_trace(
-                    self.trace, tel.trace_snapshot(),
+                    self.trace, met.trace_snapshot(),
                     metadata={"config": self.config, "steps": self.steps,
                               "wall_s": wall},
                 )
@@ -186,25 +181,20 @@ class ObsSession:
                       f"`python -m repro obs-trace {self.trace}`)")
             if self.runlog is not None:
                 self.runlog.emit(
-                    "run_end", steps=self.steps, wall_s=wall,
-                    phases=snap["phases"], counters=snap["counters"],
-                )
+                    "run_end", steps=self.steps, wall_s=wall, **profile)
             if self.profile:
                 from .report import profile_lines
 
                 order = int(solver.order) if solver is not None else None
                 print()
                 print(f"== profile ({self.steps} steps, {wall:.2f} s wall) ==")
-                for line in profile_lines(snap, order=order, wall_s=wall,
-                                          node=self.node):
+                for line in profile_lines(profile, order=order, wall_s=wall):
                     print(line)
         finally:
             if self.runlog is not None:
                 self.runlog.close()
             if self._owns_registry:
-                tel.disable()
-            if self.metrics:
-                get_metrics().disable()
+                met.disable()
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +202,7 @@ def add_obs_args(parser) -> None:
     """Attach the shared observability flags to an argparse parser."""
     parser.add_argument(
         "--profile", action="store_true",
-        help="enable phase telemetry and print a roofline report at exit",
+        help="time phases and print a roofline report at exit",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -228,9 +218,9 @@ def add_obs_args(parser) -> None:
     )
     parser.add_argument(
         "--metrics", action="store_true",
-        help="enable the typed fleet-metric registry (scheduler, watchdog "
-             "and cache gauges/counters; persisted as 'metrics' run-log "
-             "records when --log-json is on)",
+        help="persist the registry's scheduler, watchdog and cache "
+             "gauges/counters as 'metrics' run-log records (needs "
+             "--log-json)",
     )
 
 

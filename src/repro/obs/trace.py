@@ -3,11 +3,11 @@
 The paper's Sec. 5-6 claims are *timeline* claims — when each LTS cluster
 stepped, how much of every worker's wall clock was halo exchange, whether
 communication overlapped compute — and aggregate timers cannot answer
-them.  This module turns the bounded span buffer of
-:class:`repro.obs.telemetry.TraceBuffer` into the Chrome trace-event JSON
-format (the ``traceEvents`` array of ``"ph": "X"`` complete events), which
-`Perfetto <https://ui.perfetto.dev>`_ and ``chrome://tracing`` load
-directly:
+them.  This module turns the spans in the instrumentation registry's
+ring (:meth:`repro.obs.metrics.MetricRegistry.trace_snapshot`) into the
+Chrome trace-event JSON format (the ``traceEvents`` array of ``"ph": "X"``
+complete events), which `Perfetto <https://ui.perfetto.dev>`_ and
+``chrome://tracing`` load directly:
 
 * spans tagged with a ``part`` arg (the partitioned backend's per-worker
   halo-gather / compute / predict slices) are laid out **one lane per
@@ -64,9 +64,9 @@ _PID = 0
 
 
 def chrome_trace(trace_snapshot: dict, metadata: dict | None = None) -> dict:
-    """Build the Chrome-trace document for one span-buffer snapshot.
+    """Build the Chrome-trace document for one span snapshot.
 
-    ``trace_snapshot`` is :meth:`Telemetry.trace_snapshot` output.  The
+    ``trace_snapshot`` is :meth:`MetricRegistry.trace_snapshot` output.  The
     earliest span start maps to ``ts = 0``; timestamps are microseconds
     (the unit the format prescribes).
     """
@@ -136,11 +136,11 @@ def chrome_trace(trace_snapshot: dict, metadata: dict | None = None) -> dict:
 def export_chrome_trace(path: str, trace_snapshot: dict | None = None,
                         metadata: dict | None = None) -> dict:
     """Write the Perfetto-loadable JSON for ``trace_snapshot`` (default:
-    the global registry's buffer) to ``path``; returns the document."""
+    the global registry's spans) to ``path``; returns the document."""
     if trace_snapshot is None:
-        from .telemetry import get_telemetry
+        from .metrics import get_metrics
 
-        trace_snapshot = get_telemetry().trace_snapshot()
+        trace_snapshot = get_metrics().trace_snapshot()
     doc = chrome_trace(trace_snapshot, metadata)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -226,9 +226,9 @@ def merge_chrome_traces(run_dir: str, out_path: str | None = None) -> dict:
     sup_log = os.path.join(run_dir, "ensemble.jsonl")
     sup_events = 0
     if os.path.isfile(sup_log):
-        from .fleet import read_jsonl_tolerant
+        from .runlog import read_jsonl
 
-        for rec in read_jsonl_tolerant(sup_log):
+        for rec in read_jsonl(sup_log):
             wall = rec.get("wall")
             if not isinstance(wall, (int, float)):
                 continue

@@ -31,11 +31,11 @@ from ..core.basis import face_points_to_tet
 from ..core.materials import jacobians
 from ..core.quadrature import gauss_legendre_01
 from ..core.rotation import batched_state_rotation
-from ..obs.telemetry import get_telemetry
+from ..obs.metrics import get_metrics
 
 __all__ = ["Prestress", "FaultSolver"]
 
-_TEL = get_telemetry()
+_MET = get_metrics()
 
 
 @dataclass
@@ -246,7 +246,7 @@ class FaultSolver:
         """
         if not self._bound:
             raise RuntimeError("FaultSolver.step called before bind()")
-        with _TEL.phase("fault/friction"):
+        with _MET.phase("fault/friction"):
             self._step(derivs, dt, out, active, t0)
 
     def _step(self, derivs, dt, out, active=None, t0: float = 0.0) -> None:

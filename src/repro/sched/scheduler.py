@@ -14,7 +14,7 @@ single executor:
   the canonical clustered cadence is *replayed* from flat arrays with no
   per-micro-step eligibility scan; under GTS the plan is the trivial
   single-cluster cadence;
-* it is the **single telemetry dispatch site**: the per-cluster trace
+* it is the **single instrumentation dispatch site**: the per-cluster trace
   span and update counters are emitted in exactly one place, with span
   recording guarded internally (the old driver duplicated its whole step
   body into traced/untraced branches);
@@ -34,13 +34,11 @@ import numpy as np
 
 from ..core.ader import taylor_integrate
 from ..obs.metrics import get_metrics
-from ..obs.telemetry import get_telemetry
 from .hooks import HookBus, MicroStepEvent
 from .plan import CONSUME_TAYLOR, StepPlan, get_step_plan
 
 __all__ = ["Scheduler", "plan_steps", "TERMINATION_TOL"]
 
-_TEL = get_telemetry()
 _MET = get_metrics()
 
 
@@ -203,18 +201,18 @@ class Scheduler:
             # single dispatch site: span emission guarded internally (the
             # Perfetto timeline colors these by cluster id, exposing the
             # clustered update cadence)
-            if _TEL.enabled and _TEL.tracing:
-                with _TEL.trace_span("lts/cluster", cluster=c,
-                                     elems=int(lts.elem_count[c]),
-                                     t_int=int(plan.t_int[i]),
-                                     dt=float(dts[c])):
+            if _MET.enabled and _MET.tracing:
+                with _MET.span("lts/cluster", cluster=c,
+                               elems=int(lts.elem_count[c]),
+                               t_int=int(plan.t_int[i]),
+                               dt=float(dts[c])):
                     self._exec_micro(i, c, state)
             else:
                 self._exec_micro(i, c, state)
             lts.updates[c] += 1
-            if _TEL.enabled:
-                _TEL.count(f"lts/updates/c{c}")
-                _TEL.count(f"lts/elem_updates/c{c}", int(lts.elem_count[c]))
+            if _MET.enabled:
+                _MET.inc(f"lts/updates/c{c}")
+                _MET.inc(f"lts/elem_updates/c{c}", int(lts.elem_count[c]))
             if hooks.wants_micro:
                 hooks.micro_step(solver, MicroStepEvent(
                     index=i, cluster=c, t_int=int(plan.t_int[i]),
@@ -225,9 +223,6 @@ class Scheduler:
                 solver.t = t0 + sync_at * dt_min
                 if _MET.enabled:
                     _pulse_metrics(solver, i + 1, met_state)
-                    for cc in range(lts.n_clusters):
-                        _MET.set_gauge(f"sched/cluster_updates/c{cc}",
-                                       float(lts.updates[cc]))
                 hooks.sync(solver)
         solver.t = t_end
 

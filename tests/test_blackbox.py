@@ -23,7 +23,6 @@ from repro.obs.blackbox import (
     BUNDLE_SCHEMA_VERSION,
     BUNDLE_SUFFIX,
     VERDICTS,
-    FlightRecorder,
     build_bundle,
     classify_bundle,
     diagnose_bundle_file,
@@ -33,10 +32,12 @@ from repro.obs.blackbox import (
     load_bundle,
     locate_nonfinite,
     newest_bundle,
+    recorded_since,
     thread_stacks,
     validate_bundle,
     write_bundle,
 )
+from repro.obs.metrics import RING_CAPACITY, get_metrics
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 
@@ -70,48 +71,84 @@ def build_closed_passive():
     return solver
 
 
+@pytest.fixture(autouse=True)
+def _clean_registry():
+    met = get_metrics()
+    met.disable()
+    met.reset()
+    yield
+    met.disable()
+    met.reset()
+
+
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
+    """The always-on flight-recorder half of the registry's ring."""
+
     def test_ring_is_bounded(self):
-        rec = FlightRecorder(capacity=8)
-        for i in range(100):
-            rec.record_micro(i, i % 3, i, 1e-3)
-        assert len(rec) == 8
-        assert rec.recorded == 100
-        events = rec.events()
-        assert len(events) == 8
+        met = get_metrics()
+        mark = met.mark()
+        for i in range(RING_CAPACITY + 44):
+            met.record_micro(i, i % 3, i, 1e-3)
+        ring, spans = recorded_since(mark)
+        assert spans == []
+        events = ring["events"]
+        assert len(events) == RING_CAPACITY == ring["capacity"]
         # oldest events fell off the ring; the tail is intact, in order
-        assert [e["index"] for e in events] == list(range(92, 100))
+        assert [e["index"] for e in events] == list(range(44, RING_CAPACITY + 44))
+
+    def test_records_while_the_registry_is_off(self):
+        met = get_metrics()
+        assert not met.enabled
+        mark = met.mark()
+        met.record_step(1, 0.1, 1e-3)
+        assert recorded_since(mark)[0]["recorded"] == 1
 
     def test_event_normalization(self):
-        rec = FlightRecorder(capacity=16)
-        rec.record_micro(0, 2, 5, 1e-3)
-        rec.record_step(1, 0.25, 1e-3, energy=3.5, dt_scale=0.5)
-        rec.record("checkpoint", step=1, path="x.npz")
-        micro, step, ckpt = rec.events()
+        met = get_metrics()
+        mark = met.mark()
+        met.record_micro(0, 2, 5, 1e-3)
+        met.record_step(1, 0.25, 1e-3, energy=3.5, dt_scale=0.5)
+        met.record("checkpoint", step=1, path="x.npz")
+        ring, _ = recorded_since(mark)
+        micro, step, ckpt = ring["events"]
         assert micro == {"kind": "micro", "index": 0, "cluster": 2,
                         "t_int": 5, "dt": 1e-3}
         assert step["kind"] == "step" and step["energy"] == 3.5
         assert step["dt_scale"] == 0.5
         assert ckpt == {"kind": "checkpoint", "step": 1, "path": "x.npz"}
-        snap = rec.snapshot()
-        assert snap["capacity"] == 16 and snap["recorded"] == 3
+        assert ring["recorded"] == 3
+
+    def test_events_before_the_mark_are_excluded(self):
+        met = get_metrics()
+        met.record_step(1, 0.1, 1e-3, energy=99.0)  # an earlier run's
+        mark = met.mark()
+        met.record_step(1, 0.2, 1e-3, energy=1.0)
+        events = recorded_since(mark)[0]["events"]
+        assert [e["energy"] for e in events] == [1.0]
+
+    def test_spans_ride_in_the_same_ring(self):
+        met = get_metrics()
+        met.enable(trace=True)
+        mark = met.mark()
+        met.record_step(1, 0.1, 1e-3)
+        met.interval("worker/p0/compute", 1.0, 2.0, part=0)
+        ring, spans = recorded_since(mark)
+        assert [e["kind"] for e in ring["events"]] == ["step"]
+        assert spans[0][:3] == ["worker/p0/compute", 1.0, 2.0]
 
     def test_subscribe_records_scheduler_windows(self):
         from repro.sched import HookBus
 
-        rec = FlightRecorder(capacity=4)
+        met = get_metrics()
+        mark = met.mark()
         bus = HookBus()
-        rec.subscribe(bus)
+        met.subscribe(bus)
         ev = types.SimpleNamespace(index=7, cluster=1, t_int=3, dt=2e-3)
         bus.micro_step(None, ev)
-        events = rec.events()
+        events = recorded_since(mark)[0]["events"]
         assert events == [{"kind": "micro", "index": 7, "cluster": 1,
                            "t_int": 3, "dt": 2e-3}]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -186,9 +223,10 @@ class TestBundleIO:
 
     def test_round_trip_and_validation(self, tmp_path):
         path = str(tmp_path / ("a" + BUNDLE_SUFFIX))
-        rec = FlightRecorder(capacity=4)
-        rec.record_step(1, 0.1, 1e-3)
-        doc = self._doc(ring=rec, context={"member": "m0", "attempt": 2})
+        mark = get_metrics().mark()
+        get_metrics().record_step(1, 0.1, 1e-3)
+        ring, _ = recorded_since(mark)
+        doc = self._doc(ring=ring, context={"member": "m0", "attempt": 2})
         write_bundle(path, doc)
         loaded = load_bundle(path)
         assert loaded["schema"] == BUNDLE_SCHEMA_VERSION
@@ -370,17 +408,6 @@ class TestRunnerIntegration:
         assert exc_info.value.bundle is None
         assert runner.bundles_written == []
 
-    def test_opt_out_disables_recorder(self, tmp_path):
-        solver = build_coupled(order=1)
-        inj = FaultInjector().corrupt_state(at_step=2, persistent=True)
-        runner = ResilientRunner(solver, injector=inj, max_retries=1,
-                                 verbose=False, blackbox=False,
-                                 checkpoint_dir=str(tmp_path))
-        assert runner.recorder is None
-        with pytest.raises(SimulationDiverged) as exc_info:
-            runner.run(6 * solver.dt)
-        assert exc_info.value.bundle is None
-
     def test_clean_run_dumps_nothing(self, tmp_path):
         solver = build_coupled(order=1)
         runner = ResilientRunner(solver, verbose=False,
@@ -390,7 +417,23 @@ class TestRunnerIntegration:
         assert runner.last_bundle is None
         assert find_bundles(str(tmp_path)) == []
         # ...but the ring was recording the whole time
-        assert runner.recorder.recorded >= 4
+        assert recorded_since(runner.ring_mark)[0]["recorded"] >= 4
+
+    def test_bundle_holds_no_events_of_an_earlier_run(self, tmp_path):
+        # an earlier runner in the same process fills the shared ring
+        first = build_coupled(order=1)
+        ResilientRunner(first, verbose=False).run(4 * first.dt)
+        solver = build_coupled(order=1)
+        inj = FaultInjector().corrupt_state(at_step=2, persistent=True)
+        runner = ResilientRunner(solver, injector=inj, max_retries=1,
+                                 verbose=False, checkpoint_dir=str(tmp_path))
+        with pytest.raises(SimulationDiverged) as exc_info:
+            runner.run(6 * solver.dt)
+        events = load_bundle(exc_info.value.bundle)["ring"]["events"]
+        steps = [e for e in events if e["kind"] == "step"]
+        # only this run's steps, which restart at 1 after the rollback
+        assert steps and steps[0]["step"] == 1
+        assert all(e["step"] <= 3 for e in steps)
 
     def test_recovered_run_keeps_recovery_bundle_only(self, tmp_path):
         solver = build_coupled(order=1)
@@ -483,14 +526,18 @@ class TestOverheadBudget:
     def test_recorder_hot_path_within_step_budget(self):
         """The always-on ring must cost < 2% of a step at ~2 record sites
         per supervised step (micro window + post-watchdog gauge)."""
+        from repro.obs.metrics import MetricRegistry
+
         solver = build_coupled(order=2)
-        rec = FlightRecorder()
+        reg = MetricRegistry()  # off, like the default; the ring still records
+        assert not reg.enabled
         n = 50_000
         t0 = time.perf_counter()
         for i in range(n):
-            rec.record_micro(i, 0, i, 1e-3)
-            rec.record_step(i, 1e-3 * i, 1e-3, energy=1.0, dt_scale=1.0)
+            reg.record_micro(i, 0, i, 1e-3)
+            reg.record_step(i, 1e-3 * i, 1e-3, energy=1.0, dt_scale=1.0)
         per_call = (time.perf_counter() - t0) / (2 * n)
+        assert reg.mark() == 2 * n
 
         t0 = time.perf_counter()
         for _ in range(3):

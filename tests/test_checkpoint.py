@@ -9,6 +9,7 @@ from repro.core.lts import LocalTimeStepping
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
 from repro.core.solver import CoupledSolver, PointSource, ocean_surface_gravity_tagger
+from repro.io.atomic import atomic_write
 from repro.io.checkpoint import (
     CheckpointError,
     CheckpointManager,
@@ -287,3 +288,31 @@ class TestCorruptFallback:
         steps = [int(os.path.basename(p)[5:-4])
                  for p in checkpoint_candidates(str(tmp_path))]
         assert steps == [30, 10, 5]
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_old_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_write(str(path)) as fh:
+                fh.write("half of the new")
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_publishers_fsync_before_rename(self, tmp_path, monkeypatch):
+        """Regression: the ensemble result file and the bench history were
+        renamed into place without an fsync."""
+        from repro.ensemble.result import EnsembleResult
+        from repro.obs.bench import append_record
+
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        EnsembleResult(members=[]).save(str(tmp_path / "ensemble.json"))
+        assert len(synced) == 1
+        append_record(str(tmp_path / "BENCH.json"), {"schema": 1})
+        assert len(synced) == 2
+        assert sorted(os.listdir(tmp_path)) == ["BENCH.json", "ensemble.json"]

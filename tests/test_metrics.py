@@ -22,16 +22,13 @@ from repro.obs.fleet import (
     FLEET_JSONL,
     FLEET_PROM,
     FleetAggregator,
-    read_jsonl_tolerant,
     status_lines,
     status_rows,
     watch_status,
 )
 from repro.obs.metrics import (
-    DEFAULT_SERIES_CAPACITY,
     METRICS_SCHEMA_VERSION,
     MetricRegistry,
-    TimeSeries,
     default_log_buckets,
     get_metrics,
     merge_snapshots,
@@ -39,6 +36,7 @@ from repro.obs.metrics import (
     to_prometheus,
     validate_prometheus,
 )
+from repro.obs.runlog import read_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -52,22 +50,6 @@ def _clean_metrics():
 
 
 # ----------------------------------------------------------------------
-class TestTimeSeries:
-    def test_ring_overwrites_oldest_and_counts_drops(self):
-        s = TimeSeries(capacity=4)
-        for k in range(6):
-            s.append(float(k), float(10 * k))
-        assert len(s) == 4
-        assert s.dropped == 2
-        t, v = s.samples()
-        assert t == [2.0, 3.0, 4.0, 5.0]
-        assert v == [20.0, 30.0, 40.0, 50.0]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
-
-
 class TestRegistry:
     def test_counter_accumulates_and_reads(self):
         reg = MetricRegistry()
@@ -91,13 +73,15 @@ class TestRegistry:
     def test_histogram_buckets_and_overflow(self):
         reg = MetricRegistry()
         reg.enable()
-        for v in (0.5, 5.0, 5.0, 1e9):  # below, mid x2, overflow
-            reg.observe("h", v, bounds=(1.0, 10.0))
+        for v in (5e-7, 5e-3, 5e-3, 1e9):  # below, mid x2, overflow
+            reg.interval("h", 0.0, v)
         h = reg.snapshot()["histograms"]["h"]
-        assert h["bounds"] == [1.0, 10.0]
-        assert h["counts"] == [1, 2, 1]
-        assert h["count"] == 4
-        assert h["sum"] == pytest.approx(0.5 + 5.0 + 5.0 + 1e9)
+        assert h["bounds"] == list(default_log_buckets())
+        assert h["counts"][0] == 1
+        assert h["counts"][default_log_buckets().index(1e-2)] == 2
+        assert h["counts"][-1] == 1
+        assert sum(h["counts"]) == h["count"] == 4
+        assert h["sum"] == pytest.approx(5e-7 + 5e-3 + 5e-3 + 1e9)
 
     def test_default_buckets_are_log_decades(self):
         b = default_log_buckets()
@@ -113,13 +97,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="counter"):
             reg.set_gauge("x", 1.0)
         with pytest.raises(ValueError, match="counter"):
-            reg.observe("x", 1.0)
+            reg.interval("x", 0.0, 1.0)
 
     def test_disabled_is_a_noop(self):
         reg = MetricRegistry()
         reg.inc("c")
         reg.set_gauge("g", 1.0)
-        reg.observe("h", 1.0)
+        reg.interval("h", 0.0, 1.0)
+        with reg.phase("p"):
+            pass
         snap = reg.snapshot()
         assert snap["counters"] == {} and snap["gauges"] == {}
         assert snap["histograms"] == {}
@@ -133,15 +119,14 @@ class TestRegistry:
         assert reg.enabled
         assert reg.value("c") is None
 
-    def test_compact_omits_series(self):
+    def test_snapshot_is_the_wire_form(self):
         reg = MetricRegistry()
         reg.enable()
         reg.inc("c")
-        full = reg.snapshot()
-        compact = reg.compact()
-        assert "series" in full and full["series"]["c"]["v"] == [1.0]
-        assert "series" not in compact
-        assert compact["schema"] == METRICS_SCHEMA_VERSION
+        snap = reg.snapshot()
+        assert set(snap) == {"schema", "counters", "gauges", "histograms"}
+        assert snap["schema"] == METRICS_SCHEMA_VERSION
+        assert json.loads(json.dumps(snap)) == snap
 
     def test_concurrent_mixed_mutation_is_exact(self):
         """N threads hammer one counter/histogram: no lost updates."""
@@ -157,8 +142,7 @@ class TestRegistry:
                 for k in range(n_iter):
                     reg.inc("race/steps")
                     reg.set_gauge(f"race/g{tid}", float(k))
-                    reg.observe("race/h", float(k % 7) + 0.5,
-                                bounds=(1.0, 3.0, 10.0))
+                    reg.interval("race/h", 0.0, float(k % 7) + 0.5)
                     if k % 97 == 0:
                         reg.snapshot()  # concurrent readers must not tear
             except Exception as exc:  # pragma: no cover - failure path
@@ -176,10 +160,6 @@ class TestRegistry:
         h = reg.snapshot()["histograms"]["race/h"]
         assert h["count"] == total
         assert sum(h["counts"]) == total
-        # ring buffers saturated without unbounded growth
-        series = reg.snapshot()["series"]["race/steps"]
-        assert len(series["v"]) == DEFAULT_SERIES_CAPACITY
-        assert series["dropped"] == total - DEFAULT_SERIES_CAPACITY
 
 
 # ----------------------------------------------------------------------
@@ -224,27 +204,11 @@ class TestMergeSnapshots:
         with pytest.raises(ValueError, match="bounds"):
             merge_snapshots(a, bad)
 
-    def test_series_union_trims_to_capacity_keeping_newest(self):
-        def series(ts):
-            return {"kind": "gauge", "t": [float(t) for t in ts],
-                    "v": [float(10 * t) for t in ts], "dropped": 0,
-                    "capacity": 3}
-
-        a = {"schema": 1, "counters": {}, "gauges": {}, "histograms": {},
-             "series": {"s": series([1, 2])}}
-        b = {"schema": 1, "counters": {}, "gauges": {}, "histograms": {},
-             "series": {"s": series([3, 4])}}
-        m = merge_snapshots(a, b)
-        assert m["series"]["s"]["t"] == [2.0, 3.0, 4.0]  # newest 3 kept
-
-
 def _hypothesis_snapshots():
     """Strategy for wire snapshots with exact-arithmetic values.
 
     Values are integer-valued floats so counter/histogram addition is
-    exact, and every series shares one capacity — the fleet's registries
-    all use :data:`DEFAULT_SERIES_CAPACITY`, and trim-to-capacity is only
-    order-independent when the capacities agree.
+    exact.
     """
     from hypothesis import strategies as st
 
@@ -259,15 +223,11 @@ def _hypothesis_snapshots():
         "sum": nums,
         "count": ints,
     })
-    series_cell = st.lists(st.tuples(ts, nums), max_size=5).map(
-        lambda pts: {"kind": "gauge", "t": [p[0] for p in pts],
-                     "v": [p[1] for p in pts], "dropped": 0, "capacity": 4})
     snapshot = st.fixed_dictionaries({
         "schema": st.just(METRICS_SCHEMA_VERSION),
         "counters": st.dictionaries(names, ints, max_size=3),
         "gauges": st.dictionaries(names, gauge_cell, max_size=3),
         "histograms": st.dictionaries(names, hist_cell, max_size=3),
-        "series": st.dictionaries(names, series_cell, max_size=2),
     })
     return st.one_of(st.none(), snapshot)
 
@@ -307,9 +267,9 @@ class TestPrometheusExport:
         reg.inc("cache/plan_hits", 3)
         reg.set_gauge("sched/sim_time", 1.25)
         reg.set_gauge("health/energy_drift_ratio", -1.5e-9)
-        reg.observe("io/checkpoint_seconds", 0.02, bounds=(0.01, 0.1, 1.0))
-        reg.observe("io/checkpoint_seconds", 0.5, bounds=(0.01, 0.1, 1.0))
-        return reg.compact()
+        reg.interval("io/checkpoint_seconds", 0.0, 0.02)
+        reg.interval("io/checkpoint_seconds", 0.0, 0.5)
+        return reg.snapshot()
 
     def test_export_passes_strict_validator(self):
         text = to_prometheus(self.registry_snapshot())
@@ -379,7 +339,7 @@ class TestFleetAggregator:
         reg.inc("sched/steps_total", steps)
         reg.set_gauge("sched/sim_time", sim_t)
         reg.set_gauge("health/energy_drift_ratio", drift)
-        return reg.compact()
+        return reg.snapshot()
 
     def test_fleet_fold_sums_counters(self):
         agg = FleetAggregator()
@@ -417,7 +377,7 @@ class TestFleetAggregator:
         agg.export(now=13.0)
         prom = (tmp_path / FLEET_PROM).read_text()
         assert validate_prometheus(prom) == [], validate_prometheus(prom)
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = read_jsonl(str(tmp_path / FLEET_JSONL))
         assert len(history) == 2  # full bounded history, newest last
         assert history[-1]["members"]["m0"]["state"] == "ok"
         assert history[-1]["fleet"]["counters"]["sched/steps_total"] == 9
@@ -525,30 +485,13 @@ class TestDisabledOverhead:
     def test_disabled_registry_within_step_budget(self):
         """The guard-discipline bar: metrics off must not tax the solver.
 
-        Mirrors the telemetry budget test: per-call cost of the disabled
-        mutation entry points times a conservative count of wired guard
-        sites must stay under 2% of a measured solver step.
+        Per-call cost of the disabled mutation entry points times a
+        conservative count of wired guard sites must stay under 2% of a
+        measured solver step.
         """
-        from repro.core.materials import acoustic, elastic
-        from repro.core.solver import (
-            CoupledSolver,
-            ocean_surface_gravity_tagger,
-        )
-        from repro.mesh.generators import layered_ocean_mesh
+        from tests.test_obs import build_coupled  # shared solver factory
 
-        import numpy as np
-
-        crust = elastic(rho=2700.0, cp=4000.0, cs=2300.0)
-        ocean = acoustic(rho=1000.0, cp=1500.0)
-        xs = np.linspace(0.0, 2000.0, 4)
-        mesh = layered_ocean_mesh(
-            xs, xs,
-            zs_earth=np.linspace(-1500.0, -500.0, 3),
-            zs_ocean=np.linspace(-500.0, 0.0, 2),
-            earth=crust, ocean=ocean,
-        )
-        mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-        solver = CoupledSolver(mesh, order=2)
+        solver = build_coupled(order=2)
 
         met = get_metrics()
         assert not met.enabled
@@ -557,8 +500,9 @@ class TestDisabledOverhead:
         for _ in range(n):
             met.inc("x")
             met.set_gauge("g", 1.0)
-            met.observe("h", 1.0)
+            met.interval("h", 0.0, 1.0)
         per_call = (time.perf_counter() - t0) / (3 * n)
+        assert met.snapshot()["counters"] == {}
 
         t0 = time.perf_counter()
         for _ in range(3):
@@ -576,7 +520,7 @@ class TestDisabledOverhead:
 # ----------------------------------------------------------------------
 def _last_metrics_steps(runlog_path):
     """``sched/steps_total`` of the last metrics record in a run log."""
-    metrics = [r for r in read_jsonl_tolerant(runlog_path)
+    metrics = [r for r in read_jsonl(runlog_path)
                if r.get("event") == "metrics"]
     assert metrics, f"no metrics records in {runlog_path}"
     return metrics[-1]["metrics"]["counters"]["sched/steps_total"]
@@ -619,7 +563,7 @@ class TestEnsembleFleetMetrics:
         assert _prom_value(prom, "repro_sched_steps_total") == expected
         assert _prom_value(prom, "repro_fleet_members") == 2.0
 
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = read_jsonl(str(tmp_path / FLEET_JSONL))
         assert history
         last = history[-1]
         assert last["fleet"]["counters"]["sched/steps_total"] == expected
@@ -652,13 +596,22 @@ class TestEnsembleFleetMetrics:
             specs[1], injector=FaultInjector().kill_process(at_step=10),
             checkpoint_every=0.03)
         self.run_ensemble(specs, tmp_path)
-        sup = read_jsonl_tolerant(str(tmp_path / "ensemble.jsonl"))
+        sup = read_jsonl(str(tmp_path / "ensemble.jsonl"))
         retries = [r for r in sup if r.get("event") == "member_retry"]
         assert retries
         # the retry event is self-contained: it embeds where the member was
         assert retries[0]["metrics"].get("step", 0) > 0
         ends = [r for r in sup if r.get("event") == "member_end"]
         assert ends and all("metrics" in r for r in ends)
+
+    def test_member_run_end_carries_phase_timers(self, tmp_path):
+        result = self.run_ensemble(self.specs(n=1), tmp_path)
+        m = result.members[0]
+        run_end = [r for r in read_jsonl(str(tmp_path / m.member_id / "run.jsonl"))
+                   if r.get("event") == "run_end"][-1]
+        assert run_end["phases"]["step"]["calls"] == run_end["counters"][
+            "sched/steps_total"] > 0
+        assert run_end["phases"]["step"]["seconds"] > 0.0
 
     def test_metrics_registry_not_leaked_after_ensemble(self, tmp_path):
         self.run_ensemble(self.specs(n=1), tmp_path)
@@ -668,7 +621,7 @@ class TestEnsembleFleetMetrics:
         result = self.run_ensemble(self.specs(metrics=False), tmp_path)
         assert result.counts["ok"] == 2
         for m in result.members:
-            records = read_jsonl_tolerant(
+            records = read_jsonl(
                 str(tmp_path / m.member_id / "run.jsonl"))
             assert not [r for r in records if r.get("event") == "metrics"]
 
@@ -724,7 +677,7 @@ class TestEnsembleFleetMetricsSpawned:
             for m in result.members)
         assert expected > 0
         assert _prom_value(prom, "repro_sched_steps_total") == expected
-        history = read_jsonl_tolerant(str(tmp_path / FLEET_JSONL))
+        history = read_jsonl(str(tmp_path / FLEET_JSONL))
         assert history[-1]["fleet"]["counters"]["sched/steps_total"] == \
             expected
 

@@ -1,4 +1,5 @@
-"""Span tracing: bounded buffer, Chrome-trace export, summarizer, CLI."""
+"""Span tracing: the registry's bounded ring, Chrome-trace export,
+summarizer, CLI."""
 
 import json
 import threading
@@ -6,8 +7,9 @@ import time
 
 import pytest
 
-from repro.obs import ObsSession, get_telemetry
-from repro.obs.telemetry import TraceBuffer
+from repro.obs import ObsSession, get_metrics
+from repro.obs import metrics as metrics_mod
+from repro.obs.metrics import RING_CAPACITY, TRACE_RING_CAPACITY, MetricRegistry
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -22,13 +24,22 @@ from tests.test_obs import build_coupled  # shared solver factory
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry():
-    tel = get_telemetry()
-    tel.disable()
-    tel.reset()
+def _clean_registry():
+    met = get_metrics()
+    met.disable()
+    met.reset()
     yield
-    tel.disable()
-    tel.reset()
+    met.disable()
+    met.reset()
+
+
+@pytest.fixture
+def small_trace_ring(monkeypatch):
+    """Shrink the tracing ring so tests can overflow it (the capacity is
+    a module constant, read when tracing is switched on)."""
+    def shrink(capacity):
+        monkeypatch.setattr(metrics_mod, "TRACE_RING_CAPACITY", capacity)
+    return shrink
 
 
 def _partitioned(order=2, workers=2):
@@ -43,39 +54,49 @@ def _partitioned(order=2, workers=2):
 
 # ----------------------------------------------------------------------
 class TestTraceBuffer:
-    def test_bounded_with_drop_counter(self):
-        buf = TraceBuffer(capacity=3)
+    """The registry's ring as a span buffer."""
+
+    def test_bounded_with_drop_counter(self, small_trace_ring):
+        small_trace_ring(3)
+        reg = MetricRegistry()
+        reg.enable(trace=True)
         for i in range(5):
-            buf.add(f"s{i}", float(i), float(i) + 0.5, None)
-        assert len(buf) == 3
-        assert buf.dropped == 2
-        snap = buf.snapshot()
-        assert [s[0] for s in snap["spans"]] == ["s0", "s1", "s2"]
+            reg.interval(f"s{i}", float(i), float(i) + 0.5)
+        snap = reg.trace_snapshot()
+        # the oldest spans fell off the ring; the newest are intact
+        assert [s[0] for s in snap["spans"]] == ["s2", "s3", "s4"]
         assert snap["dropped"] == 2 and snap["capacity"] == 3
 
     def test_snapshot_sorted_by_begin_and_thread_names(self):
-        buf = TraceBuffer()
-        buf.add("late", 2.0, 3.0, None)
-        buf.add("early", 0.0, 1.0, {"k": 1})
-        snap = buf.snapshot()
+        reg = MetricRegistry()
+        reg.enable(trace=True)
+        reg.interval("late", 2.0, 3.0)
+        reg.interval("early", 0.0, 1.0, k=1)
+        snap = reg.trace_snapshot()
         assert [s[0] for s in snap["spans"]] == ["early", "late"]
         tid = threading.get_ident()
         assert snap["threads"][tid] == threading.current_thread().name
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
+    def test_capacity_follows_the_trace_switch(self):
+        reg = MetricRegistry()
+        assert reg.trace_snapshot()["capacity"] == RING_CAPACITY
+        reg.enable(trace=True)
+        assert reg.trace_snapshot()["capacity"] == TRACE_RING_CAPACITY
+        reg.enable()
+        assert reg.trace_snapshot()["capacity"] == RING_CAPACITY
 
 
 class TestTelemetryTracing:
+    """Span recording by the registry's entry points."""
+
     def test_phase_spans_recorded_when_tracing(self):
-        tel = get_telemetry()
-        tel.enable(trace=True)
-        assert tel.tracing
-        with tel.phase("step"):
-            with tel.phase("predict"):
+        met = get_metrics()
+        met.enable(trace=True)
+        assert met.tracing
+        with met.phase("step"):
+            with met.phase("predict"):
                 pass
-        spans = tel.trace_snapshot()["spans"]
+        spans = met.trace_snapshot()["spans"]
         names = [s[0] for s in spans]
         # sorted by begin time: the outer phase opened first
         assert names == ["step", "step/predict"]
@@ -84,68 +105,74 @@ class TestTelemetryTracing:
             assert tid == threading.get_ident()
 
     def test_trace_span_and_add_span_carry_args(self):
-        tel = get_telemetry()
-        tel.enable(trace=True)
-        with tel.trace_span("lts/cluster", cluster=2, elems=17):
+        met = get_metrics()
+        met.enable(trace=True)
+        with met.span("lts/cluster", cluster=2, elems=17):
             pass
-        tel.add_span("worker/halo_gather", 1.0, 1.5, part=1, halo=4)
-        spans = {s[0]: s for s in tel.trace_snapshot()["spans"]}
+        met.interval("worker/p1/halo_gather", 1.0, 1.5, part=1, halo=4)
+        spans = {s[0]: s for s in met.trace_snapshot()["spans"]}
         assert spans["lts/cluster"][4] == {"cluster": 2, "elems": 17}
-        assert spans["worker/halo_gather"][4] == {"part": 1, "halo": 4}
+        assert spans["worker/p1/halo_gather"][4] == {"part": 1, "halo": 4}
+        # a span is trace-only; an interval is also a phase timer
+        hists = met.snapshot()["histograms"]
+        assert "lts/cluster" not in hists
+        assert hists["worker/p1/halo_gather"]["count"] == 1
 
     def test_trace_off_modes_are_noops(self):
-        tel = get_telemetry()
-        # enabled without trace: trace entry points are shared no-ops
-        tel.enable()
-        assert not tel.tracing
-        assert tel.trace_span("a") is tel.trace_span("b")
-        tel.add_span("x", 0.0, 1.0)
-        assert tel.trace_snapshot()["spans"] == []
-        # plain enable() after a traced session drops the old buffer
-        tel.enable(trace=True)
-        with tel.trace_span("s"):
+        met = get_metrics()
+        # enabled without trace: spans are shared no-ops
+        met.enable()
+        assert not met.tracing
+        assert met.span("a") is met.span("b")
+        met.interval("x", 0.0, 1.0)
+        assert met.trace_snapshot()["spans"] == []
+        # plain enable() after a traced session drops the old spans
+        met.enable(trace=True)
+        with met.span("s"):
             pass
-        tel.enable()
-        assert not tel.tracing
-        assert tel.trace_snapshot()["spans"] == []
+        met.enable()
+        assert not met.tracing
+        assert met.trace_snapshot()["spans"] == []
 
     def test_reset_empties_buffer_but_keeps_trace_mode(self):
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=7)
-        tel.add_span("x", 0.0, 1.0)
-        tel.reset()
-        assert tel.tracing
-        snap = tel.trace_snapshot()
-        assert snap["spans"] == [] and snap["capacity"] == 7
+        met = get_metrics()
+        met.enable(trace=True)
+        met.interval("x", 0.0, 1.0)
+        met.reset()
+        assert met.tracing
+        snap = met.trace_snapshot()
+        assert snap["spans"] == [] and snap["dropped"] == 0
+        assert snap["capacity"] == TRACE_RING_CAPACITY
+
 
     def test_disabled_overhead_with_trace_sites_below_two_percent(self):
         """The 2% guard extended to the trace entry points: a solver whose
-        hot loops carry ``trace_span``/``add_span`` sites must stay free
-        when telemetry is fully off."""
+        hot loops carry ``span``/``interval`` sites must stay free when
+        the registry is fully off."""
         solver = build_coupled(order=2)
-        tel = get_telemetry()
+        met = get_metrics()
 
-        tel.enable(trace=True)
+        met.enable(trace=True)
         solver.step()
-        snap = tel.snapshot()
-        n_spans = len(tel.trace_snapshot()["spans"])
-        tel.disable()
-        tel.reset()
-        tel.enable()  # drop the buffer: measure the trace-disabled path
-        tel.disable()
-        sites = sum(c["calls"] for c in snap["phases"].values())
+        snap = met.snapshot()
+        n_spans = len(met.trace_snapshot()["spans"])
+        met.enable()  # drop the spans: measure the trace-disabled path
+        met.disable()
+        met.reset()
+        sites = sum(h["count"] for h in snap["histograms"].values())
         sites += len(snap["counters"])
         sites += n_spans  # every span site also guards on tracing
 
         n = 50_000
         t0 = time.perf_counter()
         for _ in range(n):
-            with tel.phase("x"):
+            with met.phase("x"):
                 pass
-            with tel.trace_span("y", part=0):
+            with met.span("y", part=0):
                 pass
-            tel.add_span("z", 0.0, 1.0, part=0)
+            met.interval("z", 0.0, 1.0, part=0)
         per_call = (time.perf_counter() - t0) / n
+        assert met.trace_snapshot()["spans"] == []
 
         t0 = time.perf_counter()
         for _ in range(3):
@@ -165,8 +192,7 @@ class TestChromeTraceExport:
         """The acceptance test: a traced 2-worker partitioned run exports
         valid Chrome-trace JSON with one lane per worker."""
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        get_metrics().enable(trace=True)
         try:
             for _ in range(2):
                 solver.step()
@@ -204,19 +230,21 @@ class TestChromeTraceExport:
 
         # the worker slices carry the structured args the summarizer needs
         span_names = {e["name"] for e in xs}
-        assert {"worker/predict", "worker/halo_gather",
-                "worker/compute"} <= span_names
+        assert "worker/predict" in span_names
+        for p in backend.plans:
+            assert {f"worker/p{p.part_id}/halo_gather",
+                    f"worker/p{p.part_id}/compute"} <= span_names
 
     def test_lts_cluster_slices_colored_by_cluster(self, tmp_path):
         from repro.core.lts import LocalTimeStepping
 
         solver = build_coupled(order=1)
         lts = LocalTimeStepping(solver)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         lts.run(solver.dt * 2)
 
-        doc = chrome_trace(tel.trace_snapshot())
+        doc = chrome_trace(met.trace_snapshot())
         assert validate_chrome_trace(doc) == []
         clusters = [e for e in doc["traceEvents"]
                     if e.get("name") == "lts/cluster"]
@@ -227,12 +255,13 @@ class TestChromeTraceExport:
             assert ev["args"]["elems"] > 0
         assert len({e["args"]["cluster"] for e in clusters}) == lts.n_clusters
 
-    def test_dropped_spans_surface_in_export(self):
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=2)
+    def test_dropped_spans_surface_in_export(self, small_trace_ring):
+        small_trace_ring(2)
+        met = get_metrics()
+        met.enable(trace=True)
         for i in range(5):
-            tel.add_span(f"s{i}", float(i), float(i) + 0.1)
-        doc = chrome_trace(tel.trace_snapshot())
+            met.interval(f"s{i}", float(i), float(i) + 0.1)
+        doc = chrome_trace(met.trace_snapshot())
         assert doc["otherData"]["spans"] == 2
         assert doc["otherData"]["dropped"] == 3
 
@@ -282,14 +311,14 @@ class TestValidator:
 class TestSummarizer:
     def _traced_partitioned_doc(self):
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         try:
             for _ in range(2):
                 solver.step()
         finally:
             backend.close()
-        return chrome_trace(tel.trace_snapshot()), backend
+        return chrome_trace(met.trace_snapshot()), backend
 
     def test_summary_metrics(self):
         doc, backend = self._traced_partitioned_doc()
@@ -301,8 +330,8 @@ class TestSummarizer:
             lane = s["lanes"][f"worker p{p.part_id}"]
             assert lane["busy_s"] > 0
             assert 0.0 <= lane["idle_fraction"] <= 1.0
-        assert s["totals"]["worker/compute"]["calls"] == \
-            2 * len(backend.plans)
+        for p in backend.plans:
+            assert s["totals"][f"worker/p{p.part_id}/compute"]["calls"] == 2
         # the halo-overlap block exists for worker traces
         assert s["halo"] is not None
         assert 0.0 <= s["halo"]["overlap_fraction"] <= 1.0
@@ -340,15 +369,16 @@ class TestSummarizer:
         assert s["wall_s"] == 0.0 and s["halo"] is None
         assert s["dropped"] == 0 and s["truncated"] is False
 
-    def test_truncated_trace_surfaces_drop_count(self):
+    def test_truncated_trace_surfaces_drop_count(self, small_trace_ring):
         # regression: a wrapped exporter ring used to vanish silently —
         # the summary must carry the drop count and warn the reader that
         # every number under-counts the run
-        tel = get_telemetry()
-        tel.enable(trace=True, trace_capacity=2)
+        small_trace_ring(2)
+        met = get_metrics()
+        met.enable(trace=True)
         for i in range(7):
-            tel.add_span(f"s{i}", float(i), float(i) + 0.1)
-        doc = chrome_trace(tel.trace_snapshot())
+            met.interval(f"s{i}", float(i), float(i) + 0.1)
+        doc = chrome_trace(met.trace_snapshot())
         s = summarize_trace(doc)
         assert s["dropped"] == 5
         assert s["capacity"] == 2
@@ -371,15 +401,15 @@ class TestCliAndSession:
         from repro.__main__ import main
 
         solver, backend = _partitioned(workers=2)
-        tel = get_telemetry()
-        tel.enable(trace=True)
+        met = get_metrics()
+        met.enable(trace=True)
         try:
             solver.step()
         finally:
             backend.close()
         path = str(tmp_path / "run.trace.json")
         export_chrome_trace(path)
-        tel.disable()
+        met.disable()
 
         assert main(["obs-trace", path, "--check"]) == 0
         out = capsys.readouterr().out
@@ -405,8 +435,7 @@ class TestCliAndSession:
             cb(solver)
         obs.finish(solver)
 
-        tel = get_telemetry()
-        assert not tel.enabled  # session-owned registry switched back off
+        assert not get_metrics().enabled  # session-owned registry back off
         doc = load_trace(path)
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["spans"] > 0

@@ -25,13 +25,12 @@ Run:  python tools/check_runlog.py RUN.jsonl [--min-manifests 2] [--require-hear
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.obs import validate_jsonl  # noqa: E402
+from repro.obs.runlog import iter_jsonl, validate_jsonl  # noqa: E402
 from repro.obs.blackbox import VERDICTS  # noqa: E402
 from repro.obs.metrics import METRICS_SCHEMA_VERSION  # noqa: E402
 
@@ -116,33 +115,24 @@ def check_file(path, min_manifests=0, require_heartbeat=False,
     last_metrics_wall = None
     n_metrics = 0
     bundles = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # already reported by validate_jsonl
-            if not isinstance(rec, dict):
-                continue
-            wall = rec.get("wall")
-            if isinstance(wall, (int, float)) and not isinstance(wall, bool):
-                last_wall = max(last_wall or wall, wall)
-            if rec.get("event") == "metrics":
-                n_metrics += 1
-                if isinstance(wall, (int, float)):
-                    last_metrics_wall = wall
-                for msg in check_metrics_payload(rec.get("metrics")):
-                    print(f"{label}:{lineno}: {msg}", file=sys.stderr)
-                    ok = False
-            if rec.get("event") in _BUNDLE_EVENTS:
-                for msg in check_bundle_fields(rec):
-                    print(f"{label}:{lineno}: {msg}", file=sys.stderr)
-                    ok = False
-                if isinstance(rec.get("bundle"), str):
-                    bundles.append(rec["bundle"])
+    # (bad lines were already reported by validate_jsonl)
+    for lineno, rec in iter_jsonl(path):
+        wall = rec.get("wall")
+        if isinstance(wall, (int, float)) and not isinstance(wall, bool):
+            last_wall = max(last_wall or wall, wall)
+        if rec.get("event") == "metrics":
+            n_metrics += 1
+            if isinstance(wall, (int, float)):
+                last_metrics_wall = wall
+            for msg in check_metrics_payload(rec.get("metrics")):
+                print(f"{label}:{lineno}: {msg}", file=sys.stderr)
+                ok = False
+        if rec.get("event") in _BUNDLE_EVENTS:
+            for msg in check_bundle_fields(rec):
+                print(f"{label}:{lineno}: {msg}", file=sys.stderr)
+                ok = False
+            if isinstance(rec.get("bundle"), str):
+                bundles.append(rec["bundle"])
 
     events = result["events"]
     n_manifests = events.get("manifest", 0)
