@@ -25,6 +25,10 @@ supervisor falls back to in-process execution of every member — no
 parallelism and no true kill/hang isolation, but the same retry ladder
 and the same complete result contract.
 
+Spawned members share the host: each runs with at most
+``host_cores() // workers`` BLAS threads (:mod:`repro.exec.threads`).
+In-process members run one at a time and keep the full count.
+
 Supervisor-level events (``member_start`` / ``member_retry`` /
 ``member_quarantined`` / ``member_end`` / ``ensemble_summary``) stream
 through :class:`~repro.obs.runlog.RunLog` alongside each member's own
@@ -255,11 +259,14 @@ class Supervisor:
         m.attempts += 1
         if m.first_wall is None:
             m.first_wall = time.perf_counter()
+        # the most members ever running at once: each child divides the
+        # host's cores by it for its BLAS threads (repro.exec.threads)
+        concurrency = min(self.workers, len(self.specs))
         try:
             proc = ctx.Process(
                 target=child_main,
                 args=(m.spec, m.paths["dir"], beats, m.attempts, m.resume,
-                      m.dt_scale),
+                      m.dt_scale, concurrency),
                 daemon=True,
             )
             proc.start()

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..core.health import SimulationDiverged
 from ..core.resilience import ResilientRunner
+from ..exec.threads import blas_limit, host_cores
 from ..io.atomic import atomic_write
 from ..io.checkpoint import capture_state
 from ..obs.metrics import get_metrics, phases
@@ -347,8 +348,13 @@ def load_result(path: str) -> dict | None:
 
 # ----------------------------------------------------------------------
 def child_main(spec: MemberSpec, member_dir: str, queue, attempt: int,
-               resume: bool, dt_scale: float) -> None:
+               resume: bool, dt_scale: float, workers: int = 1) -> None:
     """Spawn entry point: run the attempt, exit 0 on success.
+
+    ``workers`` is the number of members the supervisor runs at once; the
+    attempt runs with ``host_cores() // workers`` BLAS threads at most
+    (:mod:`repro.exec.threads`), so concurrent members never oversubscribe
+    the host.
 
     Any unhandled exception is reported over the queue (best effort) and
     exits with status 3; a watchdog-diagnosed divergence still exits 0 —
@@ -365,8 +371,9 @@ def child_main(spec: MemberSpec, member_dir: str, queue, attempt: int,
     except Exception:
         pass
     try:
-        run_member(spec, member_dir, queue=queue, attempt=attempt,
-                   resume=resume, dt_scale=dt_scale)
+        with blas_limit(max(1, host_cores() // workers)):
+            run_member(spec, member_dir, queue=queue, attempt=attempt,
+                       resume=resume, dt_scale=dt_scale)
     except BaseException as exc:  # noqa: B036 - report then re-raise/exit
         try:
             if queue is not None:

@@ -1,8 +1,9 @@
 """Execution backends: serial and partition-parallel kernel drivers.
 
-See :mod:`repro.exec.backend` for the backend interface and
+See :mod:`repro.exec.backend` for the backend interface,
 :mod:`repro.exec.partitioned` for the Eq. 28-partitioned thread-pool
-implementation.  Exports are resolved lazily (PEP 562) so that
+implementation and :mod:`repro.exec.threads` for the thread budget that
+keeps its workers' BLAS threads within the cores.  Exports are resolved lazily (PEP 562) so that
 :mod:`repro.core.kernels` can import :mod:`repro.exec.plan_cache` without
 creating an import cycle through the backend modules.
 """

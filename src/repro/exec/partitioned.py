@@ -24,11 +24,12 @@ A step then runs in two phases with a barrier between them:
 
 All writes target disjoint global rows, so the result is independent of
 thread scheduling; the workers run concurrently because NumPy releases
-the GIL inside the batched GEMMs.  The dynamic-rupture fault is kept
-whole-fault atomic (every fault-adjacent element in one partition, a
-stronger form of the LTS cluster-equalization constraint) because the
-fault solver writes flux into both sides of each face at once and its
-friction laws may carry per-face parameter arrays.
+the GIL inside the batched GEMMs, and they split the caller's BLAS
+threads between them (:mod:`repro.exec.threads`).  The dynamic-rupture
+fault is kept whole-fault atomic (every fault-adjacent element in one
+partition, a stronger form of the LTS cluster-equalization constraint)
+because the fault solver writes flux into both sides of each face at
+once and its friction laws may carry per-face parameter arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from ..core.lts import cluster_elements
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
 from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
+from .threads import blas_limit, blas_threads
 
 __all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
 
@@ -184,7 +186,8 @@ class PartitionedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _run(self, fn) -> None:
         plans = self.plans
-        if self.workers <= 1 or len(plans) <= 1:
+        concurrent = min(self.workers, len(plans))
+        if concurrent <= 1:
             for plan in plans:
                 fn(plan)
             return
@@ -194,8 +197,12 @@ class PartitionedBackend(ExecutionBackend):
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-exec"
             )
-        # list() propagates the first worker exception to the caller
-        list(self._pool.map(fn, plans))
+        # thread budget (repro.exec.threads): the workers share the BLAS
+        # threads this thread has; set here, around the whole region,
+        # because the OpenBLAS count is process-global
+        with blas_limit(max(1, (blas_threads() or 1) // concurrent)):
+            # list() propagates the first worker exception to the caller
+            list(self._pool.map(fn, plans))
 
     # ------------------------------------------------------------------
     def predict(self, Q: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ import time
 
 import numpy as np
 
+from ..exec.threads import blas_library, blas_threads, host_cores
 from ..io.atomic import atomic_write
 from .report import DEFAULT_NODE
 
@@ -83,7 +84,7 @@ def host_context() -> str:
     Deliberately *not* the hostname: CI runners are ephemeral and
     interchangeable, and a hostname in a committed filename would leak
     infrastructure details.  Records within one file are further keyed by
-    ``cpu_count`` / ``fast`` / ``order`` for comparability.
+    ``cores`` / ``blas_threads`` / ``fast`` / ``order`` for comparability.
     """
     return f"{platform.system().lower()}-{platform.machine().lower()}"
 
@@ -333,7 +334,9 @@ def run_battery(out: str | None = None, node: str = DEFAULT_NODE, order: int = 3
         "host": {
             "context": host_context(),
             "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
+            "cores": host_cores(),
+            "blas": blas_library(),
+            "blas_threads": blas_threads(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },

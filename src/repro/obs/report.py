@@ -31,8 +31,9 @@ model attains, which for a NumPy reproduction is honestly tiny).
 
 from __future__ import annotations
 
-import os
 import re
+
+from ..exec.threads import host_cores
 
 __all__ = [
     "DEFAULT_NODE",
@@ -65,7 +66,7 @@ def _node_specs() -> dict:
         name="local (nominal)",
         sockets=1,
         numa_per_socket=1,
-        cores_per_numa=max(os.cpu_count() or 1, 1),
+        cores_per_numa=host_cores(),
         freq_ghz=2.5,
         flops_per_cycle=16,
         mem_bw_gbs=40.0,

@@ -57,6 +57,8 @@ import uuid
 
 import numpy as np
 
+from ..exec.threads import blas_library, blas_threads, host_cores
+
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_FIELDS",
@@ -212,7 +214,9 @@ def run_manifest(solver=None, config: dict | None = None,
 
     Covers the caller's config dict, the discrete-problem fingerprint (the
     same digest checkpoints are keyed by), backend/worker placement, git
-    revision and the runtime environment.
+    revision and the runtime environment, including the thread budget the
+    run had: usable cores and the OpenBLAS library and its thread count
+    (read here, so a spawned member records its own share).
     """
     man = {
         "schema": SCHEMA_VERSION,
@@ -223,7 +227,9 @@ def run_manifest(solver=None, config: dict | None = None,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
+            "cores": host_cores(),
+            "blas": blas_library(),
+            "blas_threads": blas_threads(),
         },
         "resumed": bool(resumed),
     }

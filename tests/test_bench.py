@@ -77,6 +77,8 @@ class TestBattery:
         assert len(record["fingerprint"]) == 64
         assert record["git_rev"]
         assert record["host"]["context"] == host_context()
+        assert record["host"]["cores"] >= 1
+        assert set(record["host"]) >= {"blas", "blas_threads"}
         assert record["n_elements"] > 0
         for name in BATTERY_KERNELS:
             cell = record["benches"][name]
@@ -226,6 +228,30 @@ class TestBenchCompare:
         path = self._write(tmp_path, self._history(*legacy, new))
         assert mod.main([path, "--check"]) == 0
         assert "3 comparable baseline" in capsys.readouterr().out
+
+    def test_blas_thread_counts_never_compared(self, tmp_path, capsys):
+        """A BLAS thread count is part of the key; a record without one
+        starts its own trajectory instead of passing for 1 or 2 threads."""
+        mod = _load_compare_tool()
+
+        def rec(seconds, blas_threads=None):
+            host = {"context": "test-ctx", "cores": 4}
+            if blas_threads is not None:
+                host["blas_threads"] = blas_threads
+            return _synthetic_record(seconds=seconds, host=host)
+
+        for history, newest in (
+            ([rec(1.0, blas_threads=2) for _ in range(5)], rec(3.0, 1)),
+            ([rec(1.0) for _ in range(5)], rec(3.0, 1)),
+            ([rec(1.0, blas_threads=1) for _ in range(5)], rec(3.0)),
+        ):
+            path = self._write(tmp_path, self._history(*history, newest))
+            assert mod.main([path, "--check"]) == 0
+            assert "0 comparable baseline" in capsys.readouterr().out
+
+        same = [rec(1.0, blas_threads=1) for _ in range(3)]
+        path = self._write(tmp_path, self._history(*same, rec(3.0, 1)))
+        assert mod.main([path, "--check"]) == 1
 
     def test_roofline_violation_always_fails(self, tmp_path, capsys):
         mod = _load_compare_tool()

@@ -5,8 +5,8 @@ Reads a benchmark-battery history file written by ``python -m repro
 bench`` (see :mod:`repro.obs.bench`), takes the newest record, and
 
 * diffs each kernel's best-of-repeats seconds against the **median of
-  the comparable history** (same host context, cpu count, order, mesh
-  size and ``fast`` flag), flagging slowdowns beyond ``--threshold``
+  the comparable history** (same host context, core count, BLAS thread
+  count, order, mesh size and ``fast`` flag), flagging slowdowns beyond ``--threshold``
   (default 25%);
 * sanity-checks the two roofline-modeled kernels (predictor, corrector)
   against :mod:`repro.hpc.perfmodel`: a measured GFLOP/s rate *above*
@@ -57,9 +57,14 @@ def comparable_key(record: dict) -> tuple:
     variant switch starts a fresh trajectory instead of reading as a
     speedup/regression against the other variant's history.  Records
     written before the field existed ran the then-only batched path.
+
+    So is the BLAS thread count.  Records written before it was recorded
+    (``None``) form their own trajectory: nothing says whether they ran
+    with one thread or with many.  Their core count was ``cpu_count``.
     """
     host = record.get("host", {})
-    return (host.get("context"), host.get("cpu_count"), record.get("order"),
+    return (host.get("context"), host.get("cores", host.get("cpu_count")),
+            host.get("blas_threads"), record.get("order"),
             record.get("n_elements"), record.get("fast"),
             record.get("kernel_variant", "batched"))
 
