@@ -172,11 +172,6 @@ def main(argv=None) -> int:
     p_b.add_argument("--node", default=DEFAULT_NODE,
                      help="roofline node model for predicted bounds "
                      f"(default: {DEFAULT_NODE})")
-    p_b.add_argument("--kernel-variant", default=None,
-                     choices=("batched", "fused", "jit"),
-                     help="kernel execution variant to benchmark "
-                     "(default: the library default; recorded per record "
-                     "so histories never diff across variants)")
     p_e = sub.add_parser("ensemble",
                          help="supervised multi-process scenario ensemble")
     p_e.add_argument("--members", type=int, default=4, metavar="N",
@@ -272,8 +267,7 @@ def main(argv=None) -> int:
     if args.command == "bench":
         from repro.obs.bench import battery_lines, run_battery
 
-        record, path = run_battery(out=args.out, node=args.node,
-                                   kernel_variant=args.kernel_variant)
+        record, path = run_battery(out=args.out, node=args.node)
         for line in battery_lines(record):
             print(line)
         print(f"bench: appended record to {path} "

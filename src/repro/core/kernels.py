@@ -1,12 +1,13 @@
-"""Batched element and face kernels: the discrete spatial operator.
+"""Element and face kernels: the discrete spatial operator.
 
 This module is the Python analogue of SeisSol's generated kernels: all
 per-element and per-face operators are precomputed at setup (star Jacobians,
 per-face Godunov flux matrices F-/F+ of paper Eq. 20 for *both* sides of
-every interior face, boundary flux matrices per kind) and applied as batched
-GEMMs grouped by face orientation class, so the hot loop is a short sequence
-of ``einsum``/``matmul`` calls over contiguous arrays — the vectorization
-idiom the HPC-Python guides prescribe.
+every interior face, boundary flux matrices per kind, and the surface
+factors folded from them) and applied by the fused stacked-GEMM kernels of
+:mod:`repro.kernels.fusion`, grouped by face orientation class, so the hot
+loop is a short sequence of ``matmul`` calls over contiguous arrays — the
+vectorization idiom the HPC-Python guides prescribe.
 
 The corrector update implemented here is the time-integrated weak form:
 
@@ -24,8 +25,6 @@ import numpy as np
 
 from ..core.riemann import FaceKind
 from ..exec.plan_cache import OperatorPlan, get_plan_cache
-from ..kernels import plan_kind as _plan_kind
-from ..kernels import resolve_kernel_variant
 from ..kernels.fusion import (
     attach_fused_groups,
     fused_boundary_residual,
@@ -34,7 +33,7 @@ from ..kernels.fusion import (
     fused_volume_residual,
 )
 from ..obs.metrics import get_metrics
-from .ader import ck_derivatives, star_matrices
+from .ader import star_matrices
 from .basis import get_reference_element
 from .materials import jacobians
 from .riemann import (
@@ -53,7 +52,8 @@ _MET = get_metrics()
 class _InteriorGroup:
     """Faces sharing one (minus face, plus face, permutation) class.
 
-    Fused plans additionally carry the folded surface factors of
+    Besides the raw per-face flux matrices ``Fmm``-``Fpp``, every group
+    carries the folded surface factors of
     :func:`repro.kernels.fusion.attach_fused_groups`: the per-class
     ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` and the
     per-face scale-folded transposed flux matrices ``G1``-``G4``.
@@ -78,38 +78,38 @@ class SpatialOperator:
     ablation benchmark; never use it for production.
     """
 
+    #: the kernel path this operator runs; run manifests and bench
+    #: records carry it, so histories stay comparable across versions
+    kernel_variant = "fused"
+    _phase_volume = "kernels/volume_fused"
+    _phase_interior = "kernels/surface_interior_fused"
+    _phase_boundary = "kernels/surface_boundary_fused"
+
     def __init__(self, mesh, order: int, gravity_g: float = 9.81,
-                 flux_variant: str = "exact", kernel_variant: str | None = None):
+                 flux_variant: str = "exact"):
         if flux_variant not in ("exact", "one_sided"):
             raise ValueError(f"unknown flux variant {flux_variant!r}")
         self.flux_variant = flux_variant
-        self.kernel_variant = resolve_kernel_variant(kernel_variant)
-        self.plan_kind = _plan_kind(self.kernel_variant)
         self.mesh = mesh
         self.order = order
         self.ref = get_reference_element(order)
         self.g = gravity_g
         self._n_elements = mesh.n_elements
-        # the expensive setup (star Jacobians + per-face flux matrices) is
-        # memoized per problem fingerprint *and plan kind*; plans are
-        # immutable and shared
+        # the expensive setup (star Jacobians + per-face flux matrices +
+        # folded surface factors) is memoized per problem fingerprint;
+        # plans are immutable and shared
         plan = get_plan_cache().get_or_build(
-            mesh, order, flux_variant, self._build_plan, kind=self.plan_kind)
+            mesh, order, flux_variant, self._build_plan)
         self.star = plan.star
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
-        self._init_variant_state()
+        self._init_mask_caches()
 
-    def _init_variant_state(self) -> None:
-        """Per-instance dispatch state (never part of the shared plan)."""
-        fused = self.kernel_variant != "batched"
-        suffix = "_fused" if fused else ""
-        self._phase_volume = "kernels/volume" + suffix
-        self._phase_interior = "kernels/surface_interior" + suffix
-        self._phase_boundary = "kernels/surface_boundary" + suffix
-        # content-addressed masked sub-plan caches of the fused kernels
-        # (one mask per LTS cluster; see repro.kernels.fusion)
+    def _init_mask_caches(self) -> None:
+        """Per-instance content-addressed masked sub-plan caches of the
+        fused kernels (one mask per LTS cluster; see
+        :mod:`repro.kernels.fusion`); never part of the shared plan."""
         from collections import OrderedDict
 
         self._mask_cache_volume = OrderedDict()
@@ -123,10 +123,8 @@ class SpatialOperator:
             starT=star.transpose(0, 1, 3, 2).copy(),
             interior_groups=self._build_interior(),
             boundary_groups=self._build_boundary(),
-            kind=self.plan_kind,
         )
-        if self.plan_kind == "fused":
-            attach_fused_groups(plan, self.ref)
+        attach_fused_groups(plan, self.ref)
         return plan
 
     # ------------------------------------------------------------------
@@ -267,10 +265,8 @@ class SpatialOperator:
         kernels and :meth:`predict` only, not face-flux projection.
         """
         cells = np.asarray(cells)
-        sub = object.__new__(SpatialOperator)
+        sub = object.__new__(type(self))
         sub.flux_variant = self.flux_variant
-        sub.kernel_variant = self.kernel_variant
-        sub.plan_kind = self.plan_kind
         sub.mesh = self.mesh
         sub.order = self.order
         sub.ref = self.ref
@@ -278,8 +274,7 @@ class SpatialOperator:
         sub._n_elements = len(cells)
         sub.star = self.star[cells]
         sub.starT = self.starT[cells]
-        sub._init_variant_state()
-        fused = self.plan_kind == "fused"
+        sub._init_mask_caches()
         g2l = np.full(self.n_elements, -1, dtype=np.int64)
         g2l[cells] = np.arange(len(cells))
         owned = np.zeros(self.n_elements, dtype=bool)
@@ -308,11 +303,10 @@ class SpatialOperator:
             g.Fpm = grp.Fpm[sel]
             g.Fmp = grp.Fmp[sel]
             g.Fpp = grp.Fpp[sel]
-            if fused:
-                g.Amm, g.Amp = grp.Amm, grp.Amp
-                g.App, g.Apm = grp.App, grp.Apm
-                g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
-                g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
+            g.Amm, g.Amp = grp.Amm, grp.Amp
+            g.App, g.Apm = grp.App, grp.Apm
+            g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
+            g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
             sub.interior_groups.append(g)
 
         sub.boundary_groups = []
@@ -326,9 +320,8 @@ class SpatialOperator:
             b.face = grp.face[sel]
             b.scale = grp.scale[sel]
             b.F = grp.F[sel]
-            if fused:
-                b.A = grp.A
-                b.G = grp.G[sel]
+            b.A = grp.A
+            b.G = grp.G[sel]
             sub.boundary_groups.append(b)
         return sub
 
@@ -341,43 +334,23 @@ class SpatialOperator:
     def predict_states(self, Q: np.ndarray, star: np.ndarray,
                        starT: np.ndarray | None = None,
                        out: np.ndarray | None = None) -> np.ndarray:
-        """Variant-dispatched Cauchy-Kowalewski sweep over arbitrary
-        state/Jacobian batches (element subsets of LTS cluster updates and
-        partitioned workers included).
+        """Cauchy-Kowalewski sweep over arbitrary state/Jacobian batches
+        (element subsets of LTS cluster updates and partitioned workers
+        included).
 
         ``out`` is a scratch-buffer *hint*: it must be an array this
-        method previously returned for the same variant and batch shape
-        (backends keep last step's derivatives around for this).  The
-        result is whatever array is returned — the batched variant
-        ignores the hint.
+        method previously returned for the same batch shape (backends
+        keep last step's derivatives around for this).  The result is
+        whatever array is returned.
         """
-        if self.kernel_variant == "batched":
-            return ck_derivatives(Q, star, self.ref)
         if starT is None:
             starT = np.ascontiguousarray(star.transpose(0, 1, 3, 2))
-        if self.kernel_variant == "jit":
-            from ..kernels.jit import jit_ck
-
-            return jit_ck(Q, starT, self.ref, out=out)
         return fused_ck(Q, starT, self.ref, out=out)
 
     def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
         with _MET.phase(self._phase_volume):
-            if self.kernel_variant == "batched":
-                self._volume_residual(I, out, active)
-            else:
-                fused_volume_residual(self, I, out, active)
-
-    def _volume_residual(self, I, out, active=None) -> None:
-        if active is None:
-            Ie, starT, tgt = I, self.starT, slice(None)
-        else:
-            Ie, starT, tgt = I[active], self.starT[active], active
-        acc = np.zeros_like(Ie)
-        for d in range(3):
-            acc += np.matmul(self.ref.deriv[d].T @ Ie, starT[:, d])
-        out[tgt] += acc
+            fused_volume_residual(self, I, out, active)
 
     def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add interior-face flux terms to ``out``.
@@ -387,88 +360,12 @@ class SpatialOperator:
         face between clusters is visited by each side at its own cadence.
         """
         with _MET.phase(self._phase_interior):
-            if self.kernel_variant == "batched":
-                self._interior_residual(I, out, active)
-            else:
-                fused_interior_residual(self, I, out, active)
-
-    def _interior_residual(self, I, out, active=None) -> None:
-        ref = self.ref
-        w = ref.face_weights
-        for grp in self.interior_groups:
-            Em = ref.E_minus[grp.minus_face]
-            Ep = ref.E_plus[grp.plus_face, grp.perm]
-            if active is None:
-                em, ep = grp.em, grp.ep
-                Fmm, Fpm, Fmp, Fpp = grp.Fmm, grp.Fpm, grp.Fmp, grp.Fpp
-                scale_m, scale_p = grp.scale_m, grp.scale_p
-                upd_m = upd_p = slice(None)
-                do_m = do_p = True
-            else:
-                # restrict to faces with at least one active side *before*
-                # any trace computation (critical for LTS cluster steps)
-                am = active[grp.em]
-                ap = active[grp.ep]
-                sel = am | ap
-                if not np.any(sel):
-                    continue
-                em, ep = grp.em[sel], grp.ep[sel]
-                Fmm, Fpm = grp.Fmm[sel], grp.Fpm[sel]
-                Fmp, Fpp = grp.Fmp[sel], grp.Fpp[sel]
-                scale_m, scale_p = grp.scale_m[sel], grp.scale_p[sel]
-                upd_m, upd_p = am[sel], ap[sel]
-                do_m = bool(np.any(upd_m))
-                do_p = bool(np.any(upd_p))
-            trace_m = Em @ I[em]  # (nf, nq, 9)
-            trace_p = Ep @ I[ep]
-            if do_m:
-                flux = np.einsum("fij,fqj->fqi", Fmm, trace_m, optimize=True)
-                flux += np.einsum("fij,fqj->fqi", Fpm, trace_p, optimize=True)
-                contrib = np.einsum("qb,q,fqi->fbi", Em, w, flux, optimize=True)
-                contrib *= scale_m[:, None, None]
-                # within one orientation class every element appears at most
-                # once on the minus side, so fancy += is exact (and much
-                # faster than np.add.at)
-                if active is None:
-                    out[em] += contrib
-                else:
-                    out[em[upd_m]] += contrib[upd_m]
-            if do_p:
-                flux = np.einsum("fij,fqj->fqi", Fmp, trace_p, optimize=True)
-                flux += np.einsum("fij,fqj->fqi", Fpp, trace_m, optimize=True)
-                contrib = np.einsum("qb,q,fqi->fbi", Ep, w, flux, optimize=True)
-                contrib *= scale_p[:, None, None]
-                if active is None:
-                    out[ep] += contrib
-                else:
-                    out[ep[upd_p]] += contrib[upd_p]
+            fused_interior_residual(self, I, out, active)
 
     def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
         with _MET.phase(self._phase_boundary):
-            if self.kernel_variant == "batched":
-                self._boundary_residual(I, out, active)
-            else:
-                fused_boundary_residual(self, I, out, active)
-
-    def _boundary_residual(self, I, out, active=None) -> None:
-        ref = self.ref
-        w = ref.face_weights
-        for grp in self.boundary_groups:
-            if active is None:
-                elem, F, scale = grp.elem, grp.F, grp.scale
-            else:
-                sel = active[grp.elem]
-                if not np.any(sel):
-                    continue
-                elem, F, scale = grp.elem[sel], grp.F[sel], grp.scale[sel]
-            f = int(grp.face[0])
-            E = ref.E_minus[f]
-            trace = E @ I[elem]
-            flux = np.einsum("fij,fqj->fqi", F, trace, optimize=True)
-            contrib = np.einsum("qb,q,fqi->fbi", E, w, flux, optimize=True)
-            contrib *= scale[:, None, None]
-            out[elem] += contrib  # unique per (kind, local face) group
+            fused_boundary_residual(self, I, out, active)
 
     def project_face_flux(
         self,

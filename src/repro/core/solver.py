@@ -174,17 +174,10 @@ class CoupledSolver:
         ``"exact"`` (default) or ``"rk4"`` for the face ODE.
     backend:
         Execution backend: ``"serial"`` (default), ``"partitioned"``,
-        ``"jit"``, or a pre-built
-        :class:`~repro.exec.backend.ExecutionBackend` instance.
+        or a pre-built :class:`~repro.exec.backend.ExecutionBackend`
+        instance.
     workers:
         Thread-pool size for the partitioned backend.
-    kernel_variant:
-        Kernel execution variant for the spatial operator: ``"batched"``
-        (the original per-group einsum kernels), ``"fused"`` (stacked-GEMM
-        contraction chains, the default) or ``"jit"`` (numba element
-        loops; falls back to ``"fused"`` without numba).  ``None`` defers
-        to the backend's implied variant (``--backend jit`` implies
-        ``"jit"``), then to the library default.
     """
 
     def __init__(
@@ -200,19 +193,15 @@ class CoupledSolver:
         gravity_eta_velocity: str = "middle",
         backend="serial",
         workers: int | None = None,
-        kernel_variant: str | None = None,
     ):
         _validate_mesh_inputs(mesh)
         self.mesh = mesh
         self.order = order
-        # the backend is resolved first so it can imply a kernel variant
-        # (JitBackend -> "jit"); it still *binds* last, see below
+        # the backend is resolved first so a bad spec fails before any
+        # setup; it still *binds* last, see below
         self.backend = make_backend(backend, workers=workers)
-        if kernel_variant is None:
-            kernel_variant = getattr(self.backend, "kernel_variant", None)
         self.op = SpatialOperator(mesh, order, gravity_g,
-                                  flux_variant=flux_variant,
-                                  kernel_variant=kernel_variant)
+                                  flux_variant=flux_variant)
         self.Q = self.op.new_state()
         self.t = 0.0
         self.cfl_safety = cfl_safety

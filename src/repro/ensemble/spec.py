@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..exec.backend import available_backends
+
 __all__ = [
     "MemberSpec",
     "ScenarioHandle",
@@ -131,6 +133,13 @@ class MemberSpec:
             raise ValueError("t_end must be positive")
         if self.heartbeat_every < 1:
             raise ValueError("heartbeat_every must be >= 1")
+        # checked here, not in build(): build() runs in the spawned
+        # worker, after the spawn cost has been paid
+        if self.backend not in available_backends():
+            raise ValueError(
+                f"unknown backend {self.backend!r} "
+                f"(available: {', '.join(available_backends())})"
+            )
 
     def build(self) -> ScenarioHandle:
         """Instantiate the member's scenario (resolves the builder name)."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "JitBackend",
     "PartitionedBackend",
     "make_backend",
     "available_backends",
@@ -25,8 +24,8 @@ __all__ = [
     "plan_key",
 ]
 
-_BACKEND_NAMES = {"ExecutionBackend", "SerialBackend", "JitBackend",
-                  "make_backend", "available_backends"}
+_BACKEND_NAMES = {"ExecutionBackend", "SerialBackend", "make_backend",
+                  "available_backends"}
 _CACHE_NAMES = {
     "OperatorPlan", "PlanCache", "get_plan_cache", "clear_plan_cache",
     "mesh_fingerprint", "plan_key",

@@ -28,7 +28,7 @@ import numpy as np
 from ..core.ader import taylor_integrate
 from ..obs.metrics import get_metrics
 
-__all__ = ["ExecutionBackend", "SerialBackend", "JitBackend", "make_backend",
+__all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
            "available_backends"]
 
 _MET = get_metrics()
@@ -43,10 +43,6 @@ class ExecutionBackend:
     """
 
     name = "abstract"
-
-    #: kernel variant the backend implies when the solver does not choose
-    #: one explicitly (None = use the solver/operator default)
-    kernel_variant: str | None = None
 
     def bind(self, solver) -> None:
         self.solver = solver
@@ -98,7 +94,7 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    #: last full-mesh derivative buffer, handed back to the fused/jit
+    #: last full-mesh derivative buffer, handed back to the fused
     #: predictor as scratch — only ever an array `op.predict` itself
     #: returned, so its truncated-mode zeros are intact (see fused_ck)
     _ck_scratch = None
@@ -144,36 +140,17 @@ class SerialBackend(ExecutionBackend):
         return out
 
 
-class JitBackend(SerialBackend):
-    """Serial execution with numba-compiled element loops.
-
-    Requests the ``jit`` kernel variant from the spatial operator; when
-    numba is not installed the variant resolves to ``fused`` (a one-time
-    :class:`RuntimeWarning` is emitted) and the backend runs the fused
-    NumPy path — identical results, no compiled loops.
-    """
-
-    name = "jit"
-    kernel_variant = "jit"
-
-    def describe(self) -> str:
-        op = getattr(getattr(self, "solver", None), "op", None)
-        if op is not None and op.kernel_variant != "jit":
-            return f"jit (fallback: {op.kernel_variant})"
-        return self.name
-
-
 def available_backends() -> tuple[str, ...]:
-    return ("serial", "partitioned", "jit")
+    return ("serial", "partitioned")
 
 
 def make_backend(backend="serial", workers: int | None = None) -> ExecutionBackend:
     """Resolve a backend spec (name or instance) to a backend object.
 
     ``backend`` may be an :class:`ExecutionBackend` instance (returned
-    as-is; ``workers`` must then be ``None``), ``"serial"``,
-    ``"partitioned"`` or ``"jit"``.  ``workers`` only applies to the
-    partitioned backend (default: 2).
+    as-is; ``workers`` must then be ``None``), ``"serial"`` or
+    ``"partitioned"``.  ``workers`` only applies to the partitioned
+    backend (default: 2).
     """
     if isinstance(backend, ExecutionBackend):
         if workers is not None:
@@ -183,10 +160,6 @@ def make_backend(backend="serial", workers: int | None = None) -> ExecutionBacke
         if workers not in (None, 1):
             raise ValueError("the serial backend runs with exactly one worker")
         return SerialBackend()
-    if backend == "jit":
-        if workers not in (None, 1):
-            raise ValueError("the jit backend runs with exactly one worker")
-        return JitBackend()
     if backend == "partitioned":
         from .partitioned import PartitionedBackend
 

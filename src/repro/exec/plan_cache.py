@@ -78,18 +78,11 @@ def mesh_fingerprint(mesh) -> str:
     return h.hexdigest()
 
 
-def plan_key(mesh, order: int, flux_variant: str, kind: str = "batched") -> str:
-    """Cache key of an operator plan: mesh digest + order + flux variant +
-    plan kind.
-
-    ``kind`` is the kernel-variant plan flavor
-    (:func:`repro.kernels.plan_kind`): ``fused``/``jit`` operators carry
-    folded surface factors a ``batched`` plan lacks, so the two must
-    never share a cache slot even for an identical discrete problem.
-    """
+def plan_key(mesh, order: int, flux_variant: str) -> str:
+    """Cache key of an operator plan: mesh digest + order + flux variant."""
     h = hashlib.sha256()
     h.update(mesh_fingerprint(mesh).encode())
-    h.update(f"order={int(order)};flux={flux_variant};kind={kind}".encode())
+    h.update(f"order={int(order)};flux={flux_variant}".encode())
     return h.hexdigest()
 
 
@@ -99,11 +92,9 @@ class OperatorPlan:
 
     star: np.ndarray            # (ne, 3, 9, 9) reference-coordinate Jacobians
     starT: np.ndarray           # transposed copy used by the volume kernel
+    #: face groups: raw flux matrices plus the folded A/G surface factors
     interior_groups: list = field(default_factory=list)
     boundary_groups: list = field(default_factory=list)
-    #: plan flavor: "batched" (einsum groups only) or "fused" (groups
-    #: additionally carry the folded A/G surface factors)
-    kind: str = "batched"
 
 
 class PlanCache:
@@ -164,14 +155,14 @@ class PlanCache:
         self.put(key, plan)
         return plan
 
-    def get_or_build(self, mesh, order: int, flux_variant: str, builder,
-                     kind: str = "batched") -> OperatorPlan:
-        """Return the cached plan for ``(mesh, order, flux_variant, kind)``
-        or build (and cache) a fresh one with ``builder()``."""
+    def get_or_build(self, mesh, order: int, flux_variant: str,
+                     builder) -> OperatorPlan:
+        """Return the cached plan for ``(mesh, order, flux_variant)`` or
+        build (and cache) a fresh one with ``builder()``."""
         if not self.enabled:
             return self.get_or_build_key("", builder)
         return self.get_or_build_key(
-            plan_key(mesh, order, flux_variant, kind), builder)
+            plan_key(mesh, order, flux_variant), builder)
 
     def clear(self) -> None:
         with self._lock:

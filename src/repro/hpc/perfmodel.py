@@ -72,7 +72,9 @@ def kernel_counts(order: int, n_quantities: int = 9,
                   variant: str = "batched") -> KernelCounts:
     """Count FLOPs/bytes of one full element update at degree ``order``.
 
-    Shapes mirror :mod:`repro.core.kernels` for ``variant="batched"``:
+    ``variant="batched"`` counts SeisSol-shaped per-group kernels (the
+    paper-calibration model; in this library only the test oracle runs
+    them):
 
     * predictor: N Cauchy-Kowalewski levels, each 3 x [(B x B) @ (B x Q) +
       (B x Q) @ (Q x Q)] plus the Taylor time integration;
@@ -81,9 +83,9 @@ def kernel_counts(order: int, n_quantities: int = 9,
       sides, two (Q x Q) flux applications at nq points, and the
       back-projection (B x nq) @ (nq x Q).
 
-    ``variant="fused"`` (and ``"jit"``, which shares the fused plan)
-    counts the compiled contraction chains of :mod:`repro.kernels.fusion`
-    instead: degree-truncated Cauchy-Kowalewski levels (level ``k`` maps
+    ``variant="fused"`` counts the compiled contraction chains of
+    :mod:`repro.kernels.fusion` that :mod:`repro.core.kernels` runs:
+    degree-truncated Cauchy-Kowalewski levels (level ``k`` maps
     ``basis_size(N-k)`` modes to ``basis_size(N-k-1)``) and the
     quadrature-free surface form ``A @ I @ G`` (two ``(B, B) @ (B, Q)``
     + two ``(B, Q) @ (Q, Q)`` GEMMs per face-side).  Memory traffic is
@@ -99,7 +101,7 @@ def kernel_counts(order: int, n_quantities: int = 9,
         fl_pred = N * level + (N + 1) * 2.0 * B * Q  # + time integration
         per_face = 2 * (2.0 * nq * B * Q) + 2 * (2.0 * nq * Q * Q) + 2.0 * nq * B * Q
         fl_surf = 4 * per_face
-    elif variant in ("fused", "jit"):
+    elif variant == "fused":
         # truncated CK: level k reads sizes[k] modes, writes sizes[k+1]
         sizes = [basis_size(N - k) for k in range(N + 1)]
         fl_pred = sum(
@@ -161,8 +163,8 @@ class NodePerformanceModel:
     gemm_efficiency: float = 0.61
     gather_inefficiency: float = 3.0
     remote_bw_ratio: float = 0.15
-    #: kernel variant whose FLOP counts the model evaluates ("batched",
-    #: "fused" or "jit"); must match the benchmarked execution path, or
+    #: kernel variant whose FLOP counts the model evaluates ("batched" or
+    #: "fused"); must match the benchmarked execution path, or
     #: measured GFLOP/s and the roofline disagree by the fusion factor
     variant: str = "batched"
 

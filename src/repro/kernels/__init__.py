@@ -1,40 +1,16 @@
 """Fused modal-state kernels: compiled contraction chains for ADER-DG.
 
-This package closes the predictor/corrector roofline gap of the batched
-NumPy kernels in :mod:`repro.core.kernels` the way Krenz et al. (SC 2021)
-do with generated kernels: the per-element contraction chains are
-*compiled* at plan time into a short sequence of stacked GEMMs over
-contiguous modal-state arrays, with everything that does not depend on
-the state (degree-truncated derivative stacks, quadrature-folded surface
-projectors, scale-folded flux matrices) hoisted out of the step loop.
+This package is the one kernel path of the spatial operator
+(:class:`repro.core.kernels.SpatialOperator`).  It closes the
+predictor/corrector roofline gap of plain per-group einsums the way
+Krenz et al. (SC 2021) do with generated kernels: the per-element
+contraction chains are *compiled* at plan time into a short sequence of
+stacked GEMMs over contiguous modal-state arrays, with everything that
+does not depend on the state (degree-truncated derivative stacks,
+quadrature-folded surface projectors, scale-folded flux matrices) hoisted
+out of the step loop.  See :mod:`repro.kernels.fusion`.
 
-Three kernel variants exist:
-
-``batched``
-    The original per-group einsum path of :mod:`repro.core.kernels`,
-    kept verbatim as the golden reference for the equivalence battery.
-``fused``
-    The compiled stacked-GEMM path of :mod:`repro.kernels.fusion`
-    (default).  Results differ from ``batched`` only by floating-point
-    reassociation (~1e-15 relative).
-``jit``
-    Numba-compiled element loops over the same fused plan
-    (:mod:`repro.kernels.jit`).  Falls back to ``fused`` with a warning
-    when numba is not installed.
+The original einsum/quadrature kernels live on only as the test oracle
+(``tests/reference_kernels.py``); the equivalence battery pins the fused
+results to them up to floating-point reassociation (~1e-15 relative).
 """
-
-from .registry import (
-    DEFAULT_VARIANT,
-    KERNEL_VARIANTS,
-    have_numba,
-    plan_kind,
-    resolve_kernel_variant,
-)
-
-__all__ = [
-    "KERNEL_VARIANTS",
-    "DEFAULT_VARIANT",
-    "resolve_kernel_variant",
-    "plan_kind",
-    "have_numba",
-]

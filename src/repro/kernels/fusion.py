@@ -32,9 +32,10 @@ per-cluster activity masks; the per-group masked selections are content-
 addressed (SHA-1 of the mask bytes) and cached on the operator, so the
 selection work happens once per cluster, not once per micro-step.
 
-All results match the batched reference kernels up to floating-point
-reassociation (the equivalence battery in ``tests/test_kernels.py`` pins
-this at ~1e-12 relative).
+All results match the einsum/quadrature reference kernels of
+``tests/reference_kernels.py`` up to floating-point reassociation (the
+equivalence battery in ``tests/test_kernels.py`` pins this at ~1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class ElementKernelPlan:
     Dstacks:
         Per level, the ``(3 * sizes[k+1], sizes[k])`` stack of the three
         truncated directional derivative operators in permuted modes.
-    Dpad:
-        The same operators zero-padded to ``(order, 3, B, B)`` for the
-        numba element loop (:mod:`repro.kernels.jit`).
     DT:
         ``(B, 3B)`` stacked transposed stiffness operator of the volume
         kernel (original mode ordering).
@@ -100,7 +98,6 @@ class ElementKernelPlan:
     perm: np.ndarray
     sizes: tuple
     Dstacks: tuple
-    Dpad: np.ndarray
     DT: np.ndarray
 
 
@@ -115,20 +112,18 @@ def element_plan(order: int) -> ElementKernelPlan:
 
     sizes = tuple(basis_size(order - k) for k in range(order + 1))
     Dstacks = []
-    Dpad = np.zeros((max(order, 1), 3, nb, nb))
     for k in range(order):
         n_in, n_out = sizes[k], sizes[k + 1]
         Dstacks.append(np.ascontiguousarray(
             np.vstack([derivP[d, :n_out, :n_in] for d in range(3)])
         ))
-        Dpad[k, :, :n_out, :n_in] = derivP[:, :n_out, :n_in]
 
     DT = np.ascontiguousarray(np.hstack([ref.deriv[d].T for d in range(3)]))
-    for arr in (perm, Dpad, DT, *Dstacks):
+    for arr in (perm, DT, *Dstacks):
         arr.setflags(write=False)
     return ElementKernelPlan(
         order=order, nbasis=nb, perm=perm, sizes=sizes,
-        Dstacks=tuple(Dstacks), Dpad=Dpad, DT=DT,
+        Dstacks=tuple(Dstacks), DT=DT,
     )
 
 
@@ -140,17 +135,17 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
     (contiguous — the operator plan precomputes this copy).  Levels are
     computed in permuted mode order and scattered back, so the output
     layout matches :func:`repro.core.ader.ck_derivatives` exactly; modes
-    beyond each level's degree cutoff are exact zeros (the batched path
+    beyond each level's degree cutoff are exact zeros (the full-width path
     carries ~1e-16 quadrature noise there instead).
 
     ``out`` is an optional scratch buffer: it MUST be an array previously
-    returned by this function (or :func:`repro.kernels.jit.jit_ck`) for
-    the same order — its truncated-mode rows are assumed to still be the
-    zeros this sweep leaves there, which is what makes reuse free.  A
-    ``None`` or shape-mismatched ``out`` falls back to a fresh
-    allocation.  The step loop reuses its predictor buffer through this:
-    the ~O(10 MB) per-call allocation would otherwise cost more in page
-    faults than the truncated GEMMs themselves.
+    returned by this function for the same order — its truncated-mode
+    rows are assumed to still be the zeros this sweep leaves there, which
+    is what makes reuse free.  A ``None`` or shape-mismatched ``out``
+    falls back to a fresh allocation.  The step loop reuses its
+    predictor buffer through this: the ~O(10 MB) per-call allocation
+    would otherwise cost more in page faults than the truncated GEMMs
+    themselves.
     """
     plan = element_plan(ref.order)
     ne, nb, nq = Q.shape
@@ -295,7 +290,7 @@ def fused_interior_residual(op, I, out, active=None) -> None:
             contrib = np.matmul(np.matmul(grp.Amm, Xm), G1)
             contrib += np.matmul(np.matmul(grp.Amp, Xp), G2)
             # within one orientation class every element appears at most
-            # once per side, so fancy += is exact (same as the batched path)
+            # once per side, so fancy += is exact (no np.add.at needed)
             if active is None:
                 out[em] += contrib
             else:

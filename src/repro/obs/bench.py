@@ -104,8 +104,7 @@ def _fast() -> bool:
 
 
 # ----------------------------------------------------------------------
-def battery_problem(order: int = 3, fast: bool | None = None,
-                    kernel_variant: str | None = None):
+def battery_problem(order: int = 3, fast: bool | None = None):
     """Build the battery's coupled solver: a miniature of the benchmark
     suite's ``scaling_mesh`` (bathymetry trough + refinement window over a
     layered Earth, gravitational free surface tagged), sized so the full
@@ -135,7 +134,7 @@ def battery_problem(order: int = 3, fast: bool | None = None,
     ])
     mesh = bathymetry_mesh(xs, ys, bathy, 2, zs, earth, ocean)
     mesh.tag_boundary(ocean_surface_gravity_tagger(mesh))
-    return CoupledSolver(mesh, order=order, kernel_variant=kernel_variant)
+    return CoupledSolver(mesh, order=order)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -150,38 +149,37 @@ def _best_of(fn, repeats: int) -> float:
 # ----------------------------------------------------------------------
 def run_battery(out: str | None = None, node: str = DEFAULT_NODE, order: int = 3,
                 fast: bool | None = None, repeats: int = 3,
-                append: bool = True, kernel_variant: str | None = None):
+                append: bool = True):
     """Run the battery and (by default) append the record to the history.
 
     Returns ``(record, path)``; ``path`` is ``None`` when ``append`` is
     false.  ``node`` names the :data:`~repro.obs.report.KNOWN_NODES`
     roofline model used for the predicted bounds (default ``local``: a
     nominal model of the executing host, so "efficiency" is honest about
-    a pure-NumPy reproduction).  ``kernel_variant`` selects the kernel
-    execution path (default: the library default); the resolved variant
-    is stored in the record and keys comparability in
+    a pure-NumPy reproduction).  The operator's ``kernel_variant`` is
+    stored in the record and keys comparability in
     ``tools/bench_compare.py`` — FLOP counts and roofline bounds are
-    variant-aware, so rates across variants are never diffed.
+    variant-aware, so rates are never diffed against records of the
+    retired ``batched`` kernels.
     """
     from ..core.ader import taylor_integrate
     from ..core.lts import LocalTimeStepping
     from ..exec.partitioned import PartitionedBackend
     from ..hpc.perfmodel import NodePerformanceModel, kernel_counts
     from ..io.checkpoint import fingerprint
-    from ..kernels import resolve_kernel_variant
     from .report import node_spec
     from .runlog import _git_rev
 
     fast = _fast() if fast is None else fast
-    resolved = resolve_kernel_variant(kernel_variant)
-    solver = battery_problem(order=order, fast=fast, kernel_variant=resolved)
+    solver = battery_problem(order=order, fast=fast)
     op = solver.op
+    variant = op.kernel_variant
     ne = op.n_elements
     dt = solver.dt
 
     spec = node_spec(node)
-    model = NodePerformanceModel(spec, order=order, variant=resolved)
-    kc = kernel_counts(order, variant=resolved)
+    model = NodePerformanceModel(spec, order=order, variant=variant)
+    kc = kernel_counts(order, variant=variant)
 
     benches: dict[str, dict] = {}
 
@@ -197,9 +195,8 @@ def run_battery(out: str | None = None, node: str = DEFAULT_NODE, order: int = 3
             cell["efficiency"] = cell["gflops"] / model_gflops
         benches[name] = cell
 
-    # predictor: the CK sweep over every element (variant-dispatched).
-    # The derivative buffer is reused across calls exactly as the step
-    # loop reuses it (the batched variant ignores the hint).
+    # predictor: the CK sweep over every element.  The derivative buffer
+    # is reused across calls exactly as the step loop reuses it.
     derivs = op.predict(solver.Q)  # warm caches + output shape
     add("predictor",
         _best_of(lambda: op.predict(solver.Q, out=derivs), repeats),
@@ -343,7 +340,7 @@ def run_battery(out: str | None = None, node: str = DEFAULT_NODE, order: int = 3
         "node": getattr(spec, "name", str(node)),
         "order": int(order),
         "fast": bool(fast),
-        "kernel_variant": resolved,
+        "kernel_variant": variant,
         "n_elements": int(ne),
         "benches": benches,
     }

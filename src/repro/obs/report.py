@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 #: leaf phases whose sum is the corrector-kernel busy time (the fused
-#: kernel variants report under their own ``*_fused`` phase names so a
-#: profile always shows which execution path ran)
+#: kernels report under their own ``*_fused`` phase names; the plain
+#: names are those of the einsum reference kernels, which run logs
+#: written before the fused path existed still carry)
 _CORRECTOR_PHASES = ("kernels/volume", "kernels/surface_interior",
                      "kernels/surface_boundary",
                      "kernels/volume_fused", "kernels/surface_interior_fused",
@@ -145,7 +146,7 @@ def lts_cluster_updates(counters: dict) -> dict:
 # ----------------------------------------------------------------------
 def roofline_rows(phases: dict, counters: dict, order: int,
                   node: str | object = DEFAULT_NODE,
-                  variant: str = "batched") -> list[dict]:
+                  variant: str = "fused") -> list[dict]:
     """Measured-vs-modeled roofline rows for the predictor and corrector.
 
     ``node`` is a name from :data:`KNOWN_NODES` or a
@@ -192,7 +193,7 @@ def roofline_rows(phases: dict, counters: dict, order: int,
 def profile_lines(snapshot: dict, order: int | None = None,
                   wall_s: float | None = None,
                   node: str | object = DEFAULT_NODE,
-                  top: int = 20, variant: str = "batched") -> list[str]:
+                  top: int = 20, variant: str = "fused") -> list[str]:
     """Render ``{"phases", "counters"}`` (a run_end record, or
     :func:`~repro.obs.metrics.phases` + counters of a registry snapshot)
     as the per-phase + roofline report."""
@@ -343,9 +344,10 @@ def summarize_runlog(path: str, node: str = DEFAULT_NODE,
                   f"{_num(rec.get('wall_s'), '.2f', '?')} s wall")
 
     if run_end is not None:
-        order = manifests[0].get("order") if manifests else None
-        variant = (manifests[0].get("kernel_variant", "batched")
-                   if manifests else "batched")
+        manifest = manifests[0] if manifests else {}
+        order = manifest.get("order")
+        # logs that predate the field ran the batched kernels
+        variant = manifest.get("kernel_variant", "batched")
         snapshot = {"phases": run_end.get("phases", {}),
                     "counters": run_end.get("counters", {})}
         print(f"run end: {run_end.get('steps')} steps in "

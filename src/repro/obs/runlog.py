@@ -245,7 +245,7 @@ def run_manifest(solver=None, config: dict | None = None,
             fingerprint=fingerprint(solver),
             backend=backend.describe() if backend is not None else "none",
             workers=int(getattr(backend, "workers", 1)),
-            kernel_variant=getattr(solver.op, "kernel_variant", "batched"),
+            kernel_variant=solver.op.kernel_variant,
         )
     return man
 

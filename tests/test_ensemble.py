@@ -105,6 +105,15 @@ class TestSpecRegistry:
         with pytest.raises(ValueError, match="t_end"):
             MemberSpec(member_id="x", t_end=0.0)
 
+    def test_spec_rejects_unknown_backend(self):
+        # before spawn, not inside the worker's build(); "jit" named a
+        # numba backend that no longer exists
+        for name in ("bogus", "jit"):
+            with pytest.raises(ValueError, match="serial, partitioned"):
+                MemberSpec(member_id="m", backend=name)
+        assert MemberSpec(member_id="m", backend="partitioned",
+                          workers=2).backend == "partitioned"
+
     def test_spec_pickles_with_injector(self):
         # the spawn boundary: specs cross by value, builders by name
         spec = tiny_spec(injector=FaultInjector().kill_process(at_step=5))

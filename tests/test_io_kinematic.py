@@ -1,4 +1,4 @@
-"""Tests for the I/O writers and the kinematic finite-fault source."""
+"""Tests for the I/O writers: legacy VTK and receiver archives."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.riemann import FaceKind
 from repro.core.solver import CoupledSolver
 from repro.io import load_receivers, save_receivers, write_vtk_surface, write_vtk_unstructured
 from repro.mesh.generators import box_mesh
-from repro.rupture.kinematic import KinematicFault, smoothed_ramp_rate
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
 
@@ -78,92 +77,3 @@ class TestReceiverIO:
         rec = ReceiverArray(s, np.array([[1000.0, 1000.0, 1000.0]]))
         with pytest.raises(ValueError):
             save_receivers(str(tmp_path / "x.npz"), rec)
-
-
-class TestSlipRate:
-    def test_unit_integral(self):
-        rate = smoothed_ramp_rate(0.7)
-        t = np.linspace(0, 0.7, 20001)
-        assert np.isclose(np.trapezoid(rate(t), t), 1.0, rtol=1e-6)
-
-    def test_zero_outside(self):
-        rate = smoothed_ramp_rate(0.5)
-        assert rate(-0.1) == 0.0
-        assert rate(0.6) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            smoothed_ramp_rate(0.0)
-
-
-class TestKinematicFault:
-    def make(self, **kw):
-        args = dict(
-            center=np.array([1000.0, 1000.0, 1000.0]),
-            strike_dir=np.array([0.0, 1.0, 0.0]),
-            dip_dir=np.array([0.0, 0.0, 1.0]),
-            length=800.0,
-            width=400.0,
-            slip=1.0,
-            rupture_velocity=3000.0,
-            rise_time=0.2,
-            n_along=4,
-            n_down=2,
-        )
-        args.update(kw)
-        return KinematicFault(**args)
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            self.make(dip_dir=np.array([0.0, 1.0, 0.0]))
-        with pytest.raises(ValueError):
-            self.make(rake_dir=np.array([1.0, 0.0, 0.0]))  # = normal
-        with pytest.raises(ValueError):
-            self.make(rupture_velocity=-1.0)
-
-    def test_subfault_count_and_delays(self):
-        kf = self.make(hypocenter=np.array([1000.0, 600.0, 800.0]))
-        subs = list(kf.subfaults())
-        assert len(subs) == 8
-        delays = np.array([d for _, _, d in subs])
-        assert (delays >= 0).all()
-        # farthest subfault breaks last
-        dists = np.array([np.linalg.norm(p - kf.hypocenter) for p, _, _ in subs])
-        assert np.argmax(delays) == np.argmax(dists)
-
-    def test_moment_magnitude(self):
-        kf = self.make()
-        m0 = kf.moment(ROCK.mu)
-        assert np.isclose(m0, ROCK.mu * 800.0 * 400.0 * 1.0)
-        assert 3.0 < kf.moment_magnitude(ROCK.mu) < 6.0
-
-    def test_moment_tensor_is_double_couple(self):
-        kf = self.make()
-        mvec = kf.moment_tensor(ROCK.mu, 1.0)
-        M = np.array(
-            [
-                [mvec[0], mvec[3], mvec[5]],
-                [mvec[3], mvec[1], mvec[4]],
-                [mvec[5], mvec[4], mvec[2]],
-            ]
-        )
-        assert abs(np.trace(M)) < 1e-6 * np.abs(M).max()  # no volume change
-        ev = np.sort(np.linalg.eigvalsh(M))
-        assert abs(ev[1]) < 1e-6 * abs(ev[2])  # (-1, 0, 1) pattern
-
-    def test_attach_and_radiate(self):
-        s = small_solver()
-        kf = self.make()
-        sources = kf.attach(s)
-        assert len(sources) == 8
-        for _ in range(40):
-            s.step()
-        assert s.energy() > 0
-        v = s.evaluate(np.array([[400.0, 1000.0, 1000.0]]))[0]
-        assert np.abs(v[6:9]).max() > 0
-
-    def test_attach_rejects_outside(self):
-        s = small_solver()
-        kf = self.make(center=np.array([10_000.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            kf.attach(s)

@@ -1,26 +1,23 @@
-"""Kernel-equivalence battery: the fused/jit variants against the batched
-golden path.
+"""Kernel-equivalence battery: the fused kernels against the reference
+oracle.
 
-The batched kernels (``kernel_variant="batched"``) are the seed
-implementation this repo's physics tests validated; they stay in the tree
-as the golden reference.  This battery locks the fused stacked-GEMM
-variant (and the numba jit variant, when numba is installed) to it:
+The einsum/quadrature kernels of ``tests/reference_kernels.py`` are the
+seed implementation this repo's physics tests validated; they stay in
+the tree, as a test-only :class:`ReferenceOperator`, as the golden
+reference.  This battery locks the fused stacked-GEMM path of
+:mod:`repro.core.kernels` to it:
 
 * **golden trajectories** — full coupled runs (GTS gravity + source, and
   clustered LTS with a rupturing fault under a gravity ocean) compared
-  state-for-state across variants and worker counts;
+  state-for-state across backends and worker counts;
 * **per-kernel unit comparisons** on random modal states, masked and
   unmasked;
 * **property tests** (hypothesis): element-permutation invariance,
   stride/contiguity independence, dtype stability, and idempotence of
   the hoisted plan across replays;
-* **plan-cache hygiene** — a batched plan is never served to a fused
-  operator (and vice versa), including under ``REPRO_PLAN_CACHE=0``;
-* **graceful degradation** — ``jit`` without numba falls back to fused
-  with a one-time warning and identical results.
+* **plan-cache hygiene** — oracle and fused operators share one plan,
+  including under ``REPRO_PLAN_CACHE=0``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -28,47 +25,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import SpatialOperator
-from repro.core.solver import CoupledSolver
-from repro.exec import clear_plan_cache, get_plan_cache, plan_key
-from repro.exec.backend import JitBackend, make_backend
-from repro.kernels import (
-    DEFAULT_VARIANT,
-    KERNEL_VARIANTS,
-    have_numba,
-    plan_kind,
-    resolve_kernel_variant,
-)
-from repro.kernels.fusion import MASK_CACHE_MAX, element_plan, fused_ck
+from repro.exec import clear_plan_cache, get_plan_cache
+from repro.kernels.fusion import MASK_CACHE_MAX, element_plan
 
+from tests.reference_kernels import ReferenceOperator, reference_solvers
 from tests.test_exec_equivalence import (
     assert_states_match,
     build_gts,
     build_lts_fault_gravity,
 )
 
-#: variants that actually execute in this environment ("jit" resolves to
-#: "fused" without numba, making it a duplicate run — test it explicitly
-#: in TestJitFallback instead)
-_RUNNABLE = ("fused", "jit") if have_numba() else ("fused",)
+#: the one kernel path under test (a parameter so every comparison names
+#: the path it checks against the oracle)
+_RUNNABLE = ("fused",)
 
 
 def _variant_solver(build, variant, **kwargs):
-    """Build a rig with an explicit kernel variant on a cold plan cache."""
+    """Build a rig on a cold plan cache, on the oracle kernels when
+    ``variant`` is ``"batched"``."""
     clear_plan_cache()
-
-    class _KV(CoupledSolver):
-        def __init__(self, *a, **k):
-            k.setdefault("kernel_variant", variant)
-            super().__init__(*a, **k)
-
-    import tests.test_exec_equivalence as rigs
-
-    orig = rigs.CoupledSolver
-    rigs.CoupledSolver = _KV
-    try:
+    if variant != "batched":
         return build(**kwargs)
-    finally:
-        rigs.CoupledSolver = orig
+    with reference_solvers():
+        return build(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +55,7 @@ def _variant_solver(build, variant, **kwargs):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def golden_gts():
-    """Batched-path GTS trajectory (gravity surface + explosive source)."""
+    """Oracle GTS trajectory (gravity surface + explosive source)."""
     solver = _variant_solver(build_gts, "batched", order=2)
     solver.run(0.25)
     return solver
@@ -84,7 +63,7 @@ def golden_gts():
 
 @pytest.fixture(scope="module")
 def golden_lts():
-    """Batched-path clustered-LTS trajectory with a rupturing fault."""
+    """Oracle clustered-LTS trajectory with a rupturing fault."""
     solver, fault, lts = _variant_solver(build_lts_fault_gravity, "batched")
     lts.run(0.3)
     assert (fault.slip > 0).any(), "golden fixture must actually rupture"
@@ -115,29 +94,20 @@ class TestGoldenTrajectories:
         assert_states_match(golden_lts, solver,
                             f"({variant}/{backend}/w={workers} vs batched)")
 
-    def test_jit_backend_runs_gts(self, golden_gts):
-        """--backend jit end to end (compiled loops with numba, fused
-        fallback without — either way the trajectory must match)."""
-        clear_plan_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solver = build_gts(order=2, backend="jit")
-        solver.run(0.25)
-        assert_states_match(golden_gts, solver, "(jit backend vs batched)")
-
 
 # ----------------------------------------------------------------------
 # per-kernel unit comparisons
 # ----------------------------------------------------------------------
 def _operator_pair(variant, order=2):
-    """(batched op, variant op) over the same GTS mesh."""
+    """(oracle op, ``variant`` op) over the same GTS mesh."""
+    assert variant == SpatialOperator.kernel_variant
     clear_plan_cache()
     solver = build_gts(order=order)
     mesh = solver.mesh
     clear_plan_cache()
-    ref_op = SpatialOperator(mesh, order, kernel_variant="batched")
+    ref_op = ReferenceOperator(mesh, order)
     clear_plan_cache()
-    var_op = SpatialOperator(mesh, order, kernel_variant=variant)
+    var_op = SpatialOperator(mesh, order)
     return ref_op, var_op
 
 
@@ -204,7 +174,7 @@ class TestKernelUnits:
         d1 = solver.backend.predict(solver.Q)
         d2 = solver.backend.predict(solver.Q)
         assert d2 is d1
-        # batched golden path keeps its allocate-fresh semantics
+        # the oracle keeps its allocate-fresh semantics
         solver_b = _variant_solver(build_gts, "batched", order=1)
         b1 = solver_b.backend.predict(solver_b.Q)
         b2 = solver_b.backend.predict(solver_b.Q)
@@ -213,7 +183,7 @@ class TestKernelUnits:
     @pytest.mark.parametrize("variant", _RUNNABLE)
     def test_truncated_levels_are_exact_zero(self, variant):
         """Degree truncation: fused CK levels carry exact zeros where the
-        batched path accumulates ~1e-16 quadrature noise."""
+        oracle accumulates ~1e-16 quadrature noise."""
         ref_op, var_op = _operator_pair(variant, order=2)
         rng = np.random.default_rng(7)
         Q = rng.normal(size=(var_op.n_elements, var_op.nbasis, 9))
@@ -232,7 +202,7 @@ def prop_op():
     clear_plan_cache()
     solver = build_gts(order=2)
     clear_plan_cache()
-    return SpatialOperator(solver.mesh, 2, kernel_variant="fused")
+    return SpatialOperator(solver.mesh, 2)
 
 
 class TestProperties:
@@ -319,42 +289,32 @@ class TestProperties:
 
 
 # ----------------------------------------------------------------------
-# plan-cache hygiene across variants
+# plan-cache hygiene
 # ----------------------------------------------------------------------
 class TestPlanCacheInvalidation:
-    def test_plan_kinds_get_distinct_keys(self):
-        clear_plan_cache()
-        solver = build_gts(order=2)
-        mesh = solver.mesh
-        k_batched = plan_key(mesh, 2, "exact", kind="batched")
-        k_fused = plan_key(mesh, 2, "exact", kind="fused")
-        assert k_batched != k_fused
-        # the default kind matches the pre-variant call signature
-        assert plan_key(mesh, 2, "exact") == k_batched
-
     def test_no_stale_batched_plan_served_to_fused(self):
-        """Building batched first must not hand its (factor-less) plan to
-        a fused operator on the same mesh fingerprint."""
+        """There is one plan kind: an oracle operator built first caches
+        a plan that already carries the folded factors, and a fused
+        operator on the same fingerprint shares it."""
         clear_plan_cache()
         solver = build_gts(order=2)
         mesh = solver.mesh
         clear_plan_cache()
-        op_b = SpatialOperator(mesh, 2, kernel_variant="batched")
-        op_f = SpatialOperator(mesh, 2, kernel_variant="fused")
-        assert op_f.interior_groups is not op_b.interior_groups
+        op_b = ReferenceOperator(mesh, 2)
+        op_f = SpatialOperator(mesh, 2)
+        assert op_f.interior_groups is op_b.interior_groups
         for grp in op_f.interior_groups:
             assert hasattr(grp, "Amm") and hasattr(grp, "G1")
-        # and a second fused operator *does* share the fused plan
-        op_f2 = SpatialOperator(mesh, 2, kernel_variant="fused")
+            assert hasattr(grp, "Fmm") and hasattr(grp, "Fpp")
+        for grp in op_f.boundary_groups:
+            assert hasattr(grp, "A") and hasattr(grp, "G")
+            assert hasattr(grp, "F")
+        op_f2 = SpatialOperator(mesh, 2)
         assert op_f2.interior_groups is op_f.interior_groups
-        # jit shares the fused plan kind (same folded factors)
-        if have_numba():
-            op_j = SpatialOperator(mesh, 2, kernel_variant="jit")
-            assert op_j.interior_groups is op_f.interior_groups
 
     def test_kill_switch_disables_sharing(self, monkeypatch):
         """REPRO_PLAN_CACHE=0: every operator builds its own plan, and the
-        variants remain correct (nothing depends on cache hits)."""
+        kernels remain correct (nothing depends on cache hits)."""
         clear_plan_cache()
         solver = build_gts(order=2)
         mesh = solver.mesh
@@ -362,8 +322,8 @@ class TestPlanCacheInvalidation:
         clear_plan_cache()
         cache = get_plan_cache()
         assert not cache.enabled
-        op_f1 = SpatialOperator(mesh, 2, kernel_variant="fused")
-        op_f2 = SpatialOperator(mesh, 2, kernel_variant="fused")
+        op_f1 = SpatialOperator(mesh, 2)
+        op_f2 = SpatialOperator(mesh, 2)
         assert op_f1.interior_groups is not op_f2.interior_groups
         assert len(cache) == 0
         rng = np.random.default_rng(3)
@@ -375,98 +335,15 @@ class TestPlanCacheInvalidation:
         np.testing.assert_array_equal(o1, o2)
 
     def test_restricted_operators_inherit_variant(self):
-        clear_plan_cache()
-        solver = build_gts(order=2, backend="partitioned", workers=2)
-        for plan in solver.backend.plans:
-            assert plan.lop.kernel_variant == solver.op.kernel_variant
-            assert plan.lop.plan_kind == solver.op.plan_kind
-
-
-# ----------------------------------------------------------------------
-# variant registry + graceful degradation
-# ----------------------------------------------------------------------
-class TestVariantRegistry:
-    def test_registry_surface(self):
-        assert KERNEL_VARIANTS == ("batched", "fused", "jit")
-        assert DEFAULT_VARIANT in KERNEL_VARIANTS
-        assert resolve_kernel_variant(None) == DEFAULT_VARIANT
-        assert resolve_kernel_variant("batched") == "batched"
-        assert plan_kind("batched") == "batched"
-        assert plan_kind("fused") == "fused"
-        assert plan_kind("jit") == "fused"
-        with pytest.raises(ValueError, match="unknown kernel variant"):
-            resolve_kernel_variant("simd")
-        with pytest.raises(ValueError, match="unknown kernel variant"):
-            plan_kind("simd")
-
-    def test_jit_resolution_matches_environment(self):
-        resolved = resolve_kernel_variant("jit")
-        if have_numba():
-            assert resolved == "jit"
-        else:
-            assert resolved == "fused"
-
-    def test_jit_fallback_warns_once(self):
-        """Without numba, requesting jit warns (once per process) and runs
-        the fused path; with numba it must not warn at all."""
-        import repro.kernels.registry as registry
-
-        if have_numba():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert resolve_kernel_variant("jit") == "jit"
-            return
-        old = registry._FALLBACK_WARNED
-        registry._FALLBACK_WARNED = False
-        try:
-            with pytest.warns(RuntimeWarning, match="numba is not installed"):
-                assert resolve_kernel_variant("jit") == "fused"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert resolve_kernel_variant("jit") == "fused"
-        finally:
-            registry._FALLBACK_WARNED = old
-
-    def test_jit_backend_describe_shows_fallback(self):
-        clear_plan_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solver = build_gts(order=1, backend="jit")
-        assert isinstance(solver.backend, JitBackend)
-        if have_numba():
-            assert solver.op.kernel_variant == "jit"
-            assert solver.backend.describe() == "jit"
-        else:
-            assert solver.op.kernel_variant == "fused"
-            assert solver.backend.describe() == "jit (fallback: fused)"
-
-    def test_jit_backend_rejects_workers(self):
-        with pytest.raises(ValueError, match="one worker"):
-            make_backend("jit", workers=2)
-
-    def test_explicit_variant_overrides_backend(self):
-        """kernel_variant= beats the backend's implied variant."""
-        clear_plan_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            solver = build_gts(order=1, backend="jit")
-            clear_plan_cache()
-
-            import tests.test_exec_equivalence as rigs
-
-            class _KV(CoupledSolver):
-                def __init__(self, *a, **k):
-                    k.setdefault("kernel_variant", "batched")
-                    super().__init__(*a, **k)
-
-            orig = rigs.CoupledSolver
-            rigs.CoupledSolver = _KV
-            try:
-                forced = rigs.build_gts(order=1, backend="jit")
-            finally:
-                rigs.CoupledSolver = orig
-        assert forced.op.kernel_variant == "batched"
-        assert solver.op.kernel_variant in ("jit", "fused")
+        """Partition sub-operators run their parent's kernels: fused for
+        the library, the oracle's for an oracle-built solver."""
+        for variant in ("fused", "batched"):
+            solver = _variant_solver(build_gts, variant, order=2,
+                                     backend="partitioned", workers=2)
+            for plan in solver.backend.plans:
+                assert type(plan.lop) is type(solver.op)
+                assert plan.lop.kernel_variant == variant
+            solver.backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -478,8 +355,8 @@ class TestPhaseNames:
         solver = build_gts(order=1)
         mesh = solver.mesh
         clear_plan_cache()
-        op_b = SpatialOperator(mesh, 1, kernel_variant="batched")
-        op_f = SpatialOperator(mesh, 1, kernel_variant="fused")
+        op_b = ReferenceOperator(mesh, 1)
+        op_f = SpatialOperator(mesh, 1)
         assert op_b._phase_volume == "kernels/volume"
         assert op_f._phase_volume == "kernels/volume_fused"
         assert op_f._phase_interior == "kernels/surface_interior_fused"
@@ -508,7 +385,6 @@ def test_fused_flop_counts_stay_under_batched():
         # traffic is unchanged: fusion removes work, not state
         assert kf.bytes_predictor == kb.bytes_predictor
         assert kf.bytes_surface == kb.bytes_surface
-        assert kernel_counts(order, variant="jit").flops_predictor == \
-            kf.flops_predictor
-    with pytest.raises(ValueError, match="unknown kernel variant"):
-        kernel_counts(3, variant="simd")
+    for stale in ("simd", "jit"):
+        with pytest.raises(ValueError, match="unknown kernel variant"):
+            kernel_counts(3, variant=stale)

@@ -32,6 +32,7 @@ from repro.core.solver import (
     PointSource,
     ocean_surface_gravity_tagger,
 )
+from repro.hpc.perfmodel import kernel_counts
 from repro.mesh.generators import layered_ocean_mesh
 
 
@@ -527,6 +528,13 @@ class TestReport:
                              order=solver.order, node="rome")
         kernels = {r["kernel"]: r for r in rows}
         assert set(kernels) == {"predictor", "corrector"}
+        # credited with the FLOPs of the fused kernels that actually ran
+        kc = kernel_counts(solver.order, variant="fused")
+        updates = 3 * solver.mesh.n_elements
+        assert kernels["predictor"]["gflop"] == pytest.approx(
+            kc.flops_predictor * updates / 1e9)
+        assert kernels["corrector"]["gflop"] == pytest.approx(
+            kc.flops_corrector * updates / 1e9)
         for r in rows:
             assert r["seconds"] > 0
             assert r["elem_updates"] == 3 * solver.mesh.n_elements

@@ -52,10 +52,10 @@ _OBS_BUDGET = 0.02
 def comparable_key(record: dict) -> tuple:
     """Records compare only within identical problem + host shape.
 
-    The kernel variant is part of the key: fused/jit records time a
-    different contraction chain with different FLOP accounting, so a
-    variant switch starts a fresh trajectory instead of reading as a
-    speedup/regression against the other variant's history.  Records
+    The kernel variant is part of the key: fused records time a
+    different contraction chain with different FLOP accounting than the
+    older batched ones, so the switch started a fresh trajectory instead
+    of reading as a speedup against the batched history.  Records
     written before the field existed ran the then-only batched path.
 
     So is the BLAS thread count.  Records written before it was recorded
