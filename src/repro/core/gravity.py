@@ -24,6 +24,9 @@ cross-checking.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..obs.metrics import get_metrics
@@ -35,6 +38,11 @@ from .rotation import batched_state_rotation
 __all__ = ["GravityBoundary"]
 
 _MET = get_metrics()
+
+#: exponential propagators kept per boundary (an LRU): a run needs one per
+#: (material, cluster step, predictor order) at a time, but every ``run()``
+#: segment re-derives its step and lands on ulp-different ``dt`` keys
+PROPAGATOR_CACHE_MAX = 16
 
 
 class GravityBoundary:
@@ -93,7 +101,9 @@ class GravityBoundary:
 
         nq = op.ref.n_face_points
         self.eta = np.zeros((len(self.face_ids), nq))
-        self._propagators: dict = {}
+        self._propagators: OrderedDict = OrderedDict()
+        # partitioned workers step their gravity faces concurrently
+        self._propagator_lock = threading.Lock()
         # physical positions of the quadrature points (for output/analysis)
         self.points = np.empty((len(self.face_ids), nq, 3))
         for f in range(4):
@@ -108,13 +118,11 @@ class GravityBoundary:
         return len(self.face_ids)
 
     # ------------------------------------------------------------------
-    def _trace_taylor(self, derivs: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    def _trace_taylor(self, derivs: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Taylor coefficients of the boundary trace: ``(nf, K, nq, 9)``."""
         ref = self.op.ref
-        nf = int(sel.sum()) if sel.dtype == bool else len(sel)
-        idx = np.flatnonzero(sel) if sel.dtype == bool else sel
         K = derivs.shape[1]
-        out = np.empty((nf, K, ref.n_face_points, 9))
+        out = np.empty((len(idx), K, ref.n_face_points, 9))
         lf = self.local_face[idx]
         el = self.elem[idx]
         for f in range(4):
@@ -127,8 +135,11 @@ class GravityBoundary:
 
     def _propagator(self, mat_id: int, dt: float, K: int) -> ExactPropagator:
         key = (int(mat_id), float(dt), K)
-        prop = self._propagators.get(key)
-        if prop is None:
+        with self._propagator_lock:
+            prop = self._propagators.get(key)
+            if prop is not None:
+                self._propagators.move_to_end(key)
+                return prop
             mat = self.op.mesh.materials[int(mat_id)]
             # with the (unstable) interior-velocity variant the damping term
             # -(rho g / Z) eta of Eq. 23 is absent from d(eta)/dt
@@ -136,26 +147,27 @@ class GravityBoundary:
             A = np.array([[a, 0.0], [1.0, 0.0]])
             prop = ExactPropagator(A, n_forcing=K, dt=dt)
             self._propagators[key] = prop
-        return prop
+            if len(self._propagators) > PROPAGATOR_CACHE_MAX:
+                self._propagators.popitem(last=False)
+            return prop
 
-    def step(self, derivs: np.ndarray, dt: float, out: np.ndarray, face_mask=None) -> None:
+    def step(self, derivs: np.ndarray, dt: float, out: np.ndarray,
+             faces=None, rows=None) -> None:
         """Advance eta over ``dt`` and add the time-integrated flux to ``out``.
 
         ``derivs`` is the CK predictor of (at least) the adjacent elements,
-        with expansion point at the beginning of the step.
+        with expansion point at the beginning of the step.  ``faces``
+        (indices into this boundary's faces, default all) restricts the
+        update to one work unit's faces; ``rows`` maps a global element id
+        to its row of ``out`` (default: the id itself).
         """
         with _MET.phase("gravity/ode"):
-            self._step(derivs, dt, out, face_mask)
+            self._step(derivs, dt, out, faces, rows)
 
-    def _step(self, derivs, dt, out, face_mask=None) -> None:
-        if len(self.face_ids) == 0:
+    def _step(self, derivs, dt, out, faces=None, rows=None) -> None:
+        idx = np.arange(len(self.face_ids)) if faces is None else faces
+        if len(idx) == 0:
             return
-        if face_mask is None:
-            idx = np.arange(len(self.face_ids))
-        else:
-            idx = np.flatnonzero(face_mask)
-            if idx.size == 0:
-                return
         K = derivs.shape[1]
         tr = self._trace_taylor(derivs, idx)  # (nf, K, nq, 9)
         # forcing f(t) = v_n(t) + p(t)/Z at each quadrature point; monomial
@@ -215,7 +227,8 @@ class GravityBoundary:
         w_hat[:, :, VX] = d_eta
         flux = np.einsum("fij,fqj->fqi", self.TA[idx], w_hat, optimize=True)
         self.op.project_face_flux(
-            self.elem[idx], self.local_face[idx], self.area[idx], flux, out
+            self.elem[idx], self.local_face[idx], self.area[idx], flux, out,
+            rows=rows,
         )
 
     # ------------------------------------------------------------------

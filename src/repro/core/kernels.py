@@ -57,9 +57,13 @@ class _InteriorGroup:
     :func:`repro.kernels.fusion.attach_fused_groups`: the per-class
     ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` and the
     per-face scale-folded transposed flux matrices ``G1``-``G4``.
+    ``G1``/``G2`` cover the faces of the slice ``minus`` (whose minus side
+    the operator updates) and ``G3``/``G4`` those of ``plus``; both slices
+    span every face of a full operator (see :meth:`SpatialOperator.restricted`).
     """
 
     __slots__ = ("face_ids", "em", "ep", "minus_face", "plus_face", "perm",
+                 "minus", "plus",
                  "scale_m", "scale_p", "Fmm", "Fpm", "Fmp", "Fpp",
                  "Amm", "Amp", "App", "Apm", "G1", "G2", "G3", "G4")
 
@@ -104,17 +108,6 @@ class SpatialOperator:
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
-        self._init_mask_caches()
-
-    def _init_mask_caches(self) -> None:
-        """Per-instance content-addressed masked sub-plan caches of the
-        fused kernels (one mask per LTS cluster; see
-        :mod:`repro.kernels.fusion`); never part of the shared plan."""
-        from collections import OrderedDict
-
-        self._mask_cache_volume = OrderedDict()
-        self._mask_cache_interior = OrderedDict()
-        self._mask_cache_boundary = OrderedDict()
 
     def _build_plan(self) -> OperatorPlan:
         star = star_matrices(self.mesh)
@@ -203,6 +196,7 @@ class SpatialOperator:
             grp.minus_face = int(itf.minus_face[grp.face_ids[0]])
             grp.plus_face = int(itf.plus_face[grp.face_ids[0]])
             grp.perm = int(itf.perm[grp.face_ids[0]])
+            grp.minus = grp.plus = slice(0, len(grp.face_ids))
             grp.scale_m = scale_m[sel]
             grp.scale_p = scale_p[sel]
             grp.Fmm = Fmm[sel]
@@ -253,16 +247,18 @@ class SpatialOperator:
 
     # ------------------------------------------------------------------
     def restricted(self, cells: np.ndarray, n_owned: int) -> "SpatialOperator":
-        """Sub-operator over ``cells`` (owned elements first, then the halo).
+        """Lean sub-operator updating ``cells[:n_owned]`` and reading the
+        halo ``cells[n_owned:]``, which must hold the far side of every
+        cut face (raises otherwise).
 
-        Element indices in the returned operator are *local* (positions in
-        ``cells``), so its residual kernels act on gathered arrays
-        ``X[cells]``.  It keeps every interior face with at least one owned
-        side — the halo layer must therefore contain the far side of every
-        cut face (raises otherwise) — and every boundary face of an owned
-        element.  Restricted operators share the parent's (cached,
-        immutable) flux matrices via slicing; they support the residual
-        kernels and :meth:`predict` only, not face-flux projection.
+        Its element indices are positions in ``cells``; its kernels act on
+        ``X[cells]`` and write an ``(n_owned, B, 9)`` residual.  It copies
+        only what the step loop reads: the owned ``starT``, the boundary
+        faces of owned elements and, per orientation class, the faces
+        with an owned side (ordered into the ``minus``/``plus`` slices of
+        :mod:`repro.kernels.fusion`) with the ``G`` factors of their owned
+        sides — no raw flux matrix, no ``star``.  It runs the residual
+        kernels and :meth:`predict` only.
         """
         cells = np.asarray(cells)
         sub = object.__new__(type(self))
@@ -271,10 +267,8 @@ class SpatialOperator:
         sub.order = self.order
         sub.ref = self.ref
         sub.g = self.g
-        sub._n_elements = len(cells)
-        sub.star = self.star[cells]
-        sub.starT = self.starT[cells]
-        sub._init_mask_caches()
+        sub._n_elements = int(n_owned)
+        sub.starT = self.starT[cells[:n_owned]]
         g2l = np.full(self.n_elements, -1, dtype=np.int64)
         g2l[cells] = np.arange(len(cells))
         owned = np.zeros(self.n_elements, dtype=bool)
@@ -282,13 +276,16 @@ class SpatialOperator:
 
         sub.interior_groups = []
         for grp in self.interior_groups:
-            sel = owned[grp.em] | owned[grp.ep]
-            if not sel.any():
+            om, op_ = owned[grp.em], owned[grp.ep]
+            m_only = np.flatnonzero(om & ~op_)
+            both = np.flatnonzero(om & op_)
+            order = np.concatenate([m_only, both, np.flatnonzero(op_ & ~om)])
+            if not len(order):
                 continue
             g = _InteriorGroup()
-            g.face_ids = grp.face_ids[sel]
-            g.em = g2l[grp.em[sel]]
-            g.ep = g2l[grp.ep[sel]]
+            g.face_ids = grp.face_ids[order]
+            g.em = g2l[grp.em[order]]
+            g.ep = g2l[grp.ep[order]]
             if (g.em < 0).any() or (g.ep < 0).any():
                 raise ValueError(
                     "restricted(): an owned face's neighbor element is outside "
@@ -297,16 +294,13 @@ class SpatialOperator:
             g.minus_face = grp.minus_face
             g.plus_face = grp.plus_face
             g.perm = grp.perm
-            g.scale_m = grp.scale_m[sel]
-            g.scale_p = grp.scale_p[sel]
-            g.Fmm = grp.Fmm[sel]
-            g.Fpm = grp.Fpm[sel]
-            g.Fmp = grp.Fmp[sel]
-            g.Fpp = grp.Fpp[sel]
+            g.minus = slice(0, len(m_only) + len(both))
+            g.plus = slice(len(m_only), len(order))
             g.Amm, g.Amp = grp.Amm, grp.Amp
             g.App, g.Apm = grp.App, grp.Apm
-            g.G1, g.G2 = grp.G1[sel], grp.G2[sel]
-            g.G3, g.G4 = grp.G3[sel], grp.G4[sel]
+            m_faces, p_faces = order[g.minus], order[g.plus]
+            g.G1, g.G2 = grp.G1[m_faces], grp.G2[m_faces]
+            g.G3, g.G4 = grp.G3[p_faces], grp.G4[p_faces]
             sub.interior_groups.append(g)
 
         sub.boundary_groups = []
@@ -318,8 +312,6 @@ class SpatialOperator:
             b.face_ids = grp.face_ids[sel]
             b.elem = g2l[grp.elem[sel]]
             b.face = grp.face[sel]
-            b.scale = grp.scale[sel]
-            b.F = grp.F[sel]
             b.A = grp.A
             b.G = grp.G[sel]
             sub.boundary_groups.append(b)
@@ -329,43 +321,37 @@ class SpatialOperator:
     def predict(self, Q: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Cauchy-Kowalewski derivatives ``(ne, N+1, B, 9)``."""
-        return self.predict_states(Q, self.star, self.starT, out=out)
+        return self.predict_states(Q, self.starT, out=out)
 
-    def predict_states(self, Q: np.ndarray, star: np.ndarray,
-                       starT: np.ndarray | None = None,
+    def predict_states(self, Q: np.ndarray, starT: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
         """Cauchy-Kowalewski sweep over arbitrary state/Jacobian batches
-        (element subsets of LTS cluster updates and partitioned workers
-        included).
+        (the owned elements of LTS and partition work units included);
+        ``starT`` holds the contiguous transposed star Jacobians.
 
         ``out`` is a scratch-buffer *hint*: it must be an array this
         method previously returned for the same batch shape (backends
         keep last step's derivatives around for this).  The result is
         whatever array is returned.
         """
-        if starT is None:
-            starT = np.ascontiguousarray(star.transpose(0, 1, 3, 2))
         return fused_ck(Q, starT, self.ref, out=out)
 
-    def volume_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
+    def volume_residual(self, I: np.ndarray, out: np.ndarray) -> None:
         """Add the stiffness (volume) term of the corrector to ``out``."""
         with _MET.phase(self._phase_volume):
-            fused_volume_residual(self, I, out, active)
+            fused_volume_residual(self, I, out)
 
-    def interior_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
-        """Add interior-face flux terms to ``out``.
-
-        ``active`` (bool mask over elements) restricts which side(s) of each
-        face receive contributions — needed by local time-stepping, where a
-        face between clusters is visited by each side at its own cadence.
-        """
+    def interior_residual(self, I: np.ndarray, out: np.ndarray) -> None:
+        """Add interior-face flux terms to ``out`` (owned sides only on a
+        :meth:`restricted` operator — under LTS a face between clusters is
+        visited by each side at its own cadence)."""
         with _MET.phase(self._phase_interior):
-            fused_interior_residual(self, I, out, active)
+            fused_interior_residual(self, I, out)
 
-    def boundary_residual(self, I: np.ndarray, out: np.ndarray, active=None) -> None:
+    def boundary_residual(self, I: np.ndarray, out: np.ndarray) -> None:
         """Add free-surface / absorbing boundary fluxes to ``out``."""
         with _MET.phase(self._phase_boundary):
-            fused_boundary_residual(self, I, out, active)
+            fused_boundary_residual(self, I, out)
 
     def project_face_flux(
         self,
@@ -375,6 +361,7 @@ class SpatialOperator:
         flux_at_points: np.ndarray,
         out: np.ndarray,
         plus_side: tuple[int, int] | None = None,
+        rows: np.ndarray | None = None,
     ) -> None:
         """Project pointwise face fluxes back to modal residuals.
 
@@ -391,8 +378,12 @@ class SpatialOperator:
         plus_side:
             If given ``(plus_face, perm)``, project with the neighbor trace
             operator instead (all faces in the call share the class).
+        rows:
+            Optional map from global element id to row of ``out`` (a work
+            unit's residual holds its owned elements only).
         """
         ref = self.ref
+        tgt = elem if rows is None else rows[elem]
         if plus_side is None:
             # group by local face id
             for f in range(4):
@@ -404,14 +395,14 @@ class SpatialOperator:
                     "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points[sel], optimize=True
                 )
                 contrib *= (-2.0 * area[sel] / self.mesh.det_jac[elem[sel]])[:, None, None]
-                out[elem[sel]] += contrib  # unique per local-face group
+                out[tgt[sel]] += contrib  # unique per local-face group
         else:
             E = ref.E_plus[plus_side[0], plus_side[1]]
             contrib = np.einsum(
                 "qb,q,fqi->fbi", E, ref.face_weights, flux_at_points, optimize=True
             )
             contrib *= (-2.0 * area / self.mesh.det_jac[elem])[:, None, None]
-            out[elem] += contrib  # unique per (plus face, perm) class
+            out[tgt] += contrib  # unique per (plus face, perm) class
 
     # ------------------------------------------------------------------
     def trace_minus(self, face_ids: np.ndarray, X: np.ndarray, boundary: bool = True) -> np.ndarray:
@@ -431,10 +422,11 @@ class SpatialOperator:
                 out[sel] = self.ref.E_minus[f] @ X[elem[sel]]
         return out
 
-    def apply(self, I: np.ndarray, active=None) -> np.ndarray:
-        """Full (gravity/fault-free) residual for time-integrated data ``I``."""
+    def apply(self, I: np.ndarray) -> np.ndarray:
+        """Gravity/fault-free residual of the elements this operator
+        updates, for time-integrated data ``I``."""
         out = self.new_state()
-        self.volume_residual(I, out, active)
-        self.interior_residual(I, out, active)
-        self.boundary_residual(I, out, active)
+        self.volume_residual(I, out)
+        self.interior_residual(I, out)
+        self.boundary_residual(I, out)
         return out

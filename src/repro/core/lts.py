@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exec.unit import halo_of
 from ..sched import HookBus, Scheduler
 from .cfl import element_timesteps
 
@@ -97,7 +98,11 @@ class LocalTimeStepping:
     """LTS driver wrapping a :class:`~repro.core.solver.CoupledSolver`.
 
     Reuses the solver's spatial operator, gravity boundary, fault solver and
-    sources; only the time-marching differs.
+    sources; only the time-marching differs.  Construction compiles every
+    cluster, once, into a :class:`~repro.exec.unit.WorkUnit` of the
+    solver's backend (``units[c]``): its owned elements, its halo grouped
+    by source cluster, a lean restricted operator over the owned sides of
+    its faces and its gravity/motion/fault faces.
     """
 
     def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
@@ -110,30 +115,34 @@ class LocalTimeStepping:
             mesh, solver.order, rate, solver.cfl_safety, max_cluster
         )
         self.cmax = int(self.cluster.max())
-        self.n_clusters = self.cmax + 1
-        self.masks = [self.cluster == c for c in range(self.n_clusters)]
-        # per-cluster element index arrays, hoisted once: the scheduler's
-        # micro-step loop gathers/scatters with these instead of re-running
-        # boolean-mask selection every step
-        self.idx = [np.flatnonzero(m) for m in self.masks]
-        self.elem_count = np.array([int(m.sum()) for m in self.masks])
+        self.n_clusters = nc = self.cmax + 1
+        cluster = self.cluster
+        self.elem_count = np.bincount(cluster, minlength=nc)
 
+        # halo of every cluster, sorted by (source cluster, id) so each
+        # source cluster's rows form one slice of the unit's cells
+        owned = [np.flatnonzero(cluster == c) for c in range(nc)]
+        halos = [h[np.argsort(cluster[h], kind="stable")]
+                 for h in (halo_of(mesh, cluster == c) for c in range(nc))]
+        # clusters sharing a face are exactly those in each other's halo
+        self.adjacent = [set(cluster[h].tolist()) for h in halos]
+        # elements a coarser neighbor reads from their cluster's
+        # accumulated-window buffer
         em, ep = mesh.interior.minus_elem, mesh.interior.plus_elem
-        cm, cp = self.cluster[em], self.cluster[ep]
-        self.adjacent = [set() for _ in range(self.n_clusters)]
-        for a, b in zip(cm, cp):
-            if a != b:
-                self.adjacent[int(a)].add(int(b))
-                self.adjacent[int(b)].add(int(a))
-
-        g = solver.gravity
-        self.gravity_masks = [self.cluster[g.elem] == c for c in range(self.n_clusters)]
-        if solver.motion is not None:
-            me = solver.motion.elem
-            self.motion_masks = [self.cluster[me] == c for c in range(self.n_clusters)]
-        else:
-            self.motion_masks = None
-        self.updates = np.zeros(self.n_clusters, dtype=np.int64)
+        export = np.zeros(mesh.n_elements, dtype=bool)
+        export[em[cluster[em] < cluster[ep]]] = True
+        export[ep[cluster[ep] < cluster[em]]] = True
+        self.units = []
+        for c in range(nc):
+            n, src = len(owned[c]), cluster[halos[c]]
+            groups = {}
+            for cn in self.adjacent[c]:
+                lo, hi = np.searchsorted(src, [cn, cn + 1])
+                groups[cn] = (slice(n + lo, n + hi), halos[c][lo:hi])
+            self.units.append(self.backend.compile_unit(
+                owned[c], halos[c], halo_groups=groups,
+                export_rows=np.flatnonzero(export[owned[c]])))
+        self.updates = np.zeros(nc, dtype=np.int64)
 
     def statistics(self) -> dict:
         return lts_statistics(self.cluster, self.rate)

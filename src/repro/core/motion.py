@@ -86,12 +86,15 @@ class PrescribedMotionBoundary:
     def __len__(self) -> int:
         return len(self.face_ids)
 
-    def step(self, derivs, dt: float, out: np.ndarray, t0: float = 0.0, face_mask=None) -> None:
-        """Add the time-integrated prescribed-motion flux over ``[t0, t0+dt]``."""
-        if len(self.face_ids) == 0:
-            return
-        idx = np.arange(len(self.face_ids)) if face_mask is None else np.flatnonzero(face_mask)
-        if idx.size == 0:
+    def step(self, derivs, dt: float, out: np.ndarray, t0: float = 0.0,
+             faces=None, rows=None) -> None:
+        """Add the time-integrated prescribed-motion flux over ``[t0, t0+dt]``.
+
+        ``faces``/``rows`` restrict the update to one work unit, as in
+        :meth:`repro.core.gravity.GravityBoundary.step`.
+        """
+        idx = np.arange(len(self.face_ids)) if faces is None else faces
+        if len(idx) == 0:
             return
         ref = self.op.ref
         nq = ref.n_face_points
@@ -136,4 +139,5 @@ class PrescribedMotionBoundary:
         w_hat[:, :, SXX] = int_snn + Zp * (int_vpre - int_vn)
         w_hat[:, :, VX] = int_vpre
         flux = np.einsum("fij,fqj->fqi", self.TA[idx], w_hat, optimize=True)
-        self.op.project_face_flux(self.elem[idx], self.local_face[idx], self.area[idx], flux, out)
+        self.op.project_face_flux(self.elem[idx], self.local_face[idx],
+                                  self.area[idx], flux, out, rows=rows)

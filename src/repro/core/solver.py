@@ -114,10 +114,12 @@ class PointSource:
         self._tq, self._wq = gauss_legendre_01(6)
         self._phi_amp = np.outer(self._phi, self._amp)
 
-    def add(self, out: np.ndarray, t0: float, dt: float) -> None:
-        """Accumulate the time-integrated source into the residual."""
+    def add(self, out: np.ndarray, t0: float, dt: float,
+            row: int | None = None) -> None:
+        """Accumulate the time-integrated source into the residual (at
+        ``row``, default the source element's id)."""
         s_int = dt * sum(w * self.stf(t0 + dt * t) for t, w in zip(self._tq, self._wq))
-        out[self._elem] += s_int * self._phi_amp
+        out[self._elem if row is None else row] += s_int * self._phi_amp
 
 
 #: face kinds a *boundary* face may legally carry (INTERIOR and FAULT are

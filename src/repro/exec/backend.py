@@ -9,8 +9,8 @@ window.  A backend executes the three phases of one window:
 1. ``predict``/``update_predictor`` — the element-local Cauchy-Kowalewski
    predictor (embarrassingly parallel over elements);
 2. ``corrector`` — volume + face kernels plus the gravity / prescribed-
-   motion / fault / source modules, for the elements selected by the
-   scheduler's ``active`` mask;
+   motion / fault / source modules, for the whole mesh or for one
+   compiled :class:`~repro.exec.unit.WorkUnit` (one per LTS cluster);
 3. the halo exchange between the two (a no-op in shared memory for the
    serial backend; an explicit owned+halo gather for the partitioned one).
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from ..core.ader import taylor_integrate
 from ..obs.metrics import get_metrics
+from .unit import add_face_fluxes, add_sources, build_unit, row_map
 
 __all__ = ["ExecutionBackend", "SerialBackend", "make_backend",
            "available_backends"]
@@ -52,29 +53,34 @@ class ExecutionBackend:
         """Cauchy-Kowalewski derivatives of all elements, ``(ne, N+1, B, 9)``."""
         raise NotImplementedError
 
+    def compile_unit(self, owned: np.ndarray, halo: np.ndarray,
+                     **fields):
+        """Compile the :class:`~repro.exec.unit.WorkUnit` updating the
+        sorted global ids ``owned`` and reading ``halo`` (called once per
+        LTS cluster at setup; ``fields`` are the scheduler's own)."""
+        raise NotImplementedError
+
     def update_predictor(
-        self, Q: np.ndarray, mask: np.ndarray, dt: float,
+        self, Q: np.ndarray, unit, dt: float,
         derivs: np.ndarray, Iown: np.ndarray,
     ) -> None:
-        """Refresh ``derivs[mask]`` from ``Q[mask]`` and store the Taylor
-        window integral over ``[0, dt]`` into ``Iown[mask]`` (LTS)."""
+        """Refresh ``derivs`` of ``unit``'s owned elements from ``Q`` and
+        store their Taylor window integral over ``[0, dt]`` into ``Iown``
+        (one row per owned element; LTS)."""
         raise NotImplementedError
 
     # -- corrector ------------------------------------------------------
     def corrector(
         self, I: np.ndarray, derivs: np.ndarray, dt: float, t0: float,
-        active: np.ndarray | None = None,
-        gravity_mask: np.ndarray | None = None,
-        motion_mask: np.ndarray | None = None,
+        unit=None,
     ) -> np.ndarray:
-        """Full residual of one window: kernels + boundary modules + sources.
+        """Residual of one window: kernels + boundary modules + sources.
 
-        ``I`` is the time-integrated predictor of every element whose trace
-        the active elements read (for LTS the scheduler assembles the
-        neighbor windows); ``active`` restricts updates to the stepping
-        elements (``None`` = all), ``gravity_mask``/``motion_mask``
-        restrict the face modules the same way.  Returns the residual ``R``
-        to be accumulated into ``Q`` by the scheduler.
+        Without a ``unit``, ``I`` is the time-integrated predictor of every
+        element and the residual covers the whole mesh.  With one, ``I``
+        is in the unit's owned-then-halo numbering (for LTS the scheduler
+        assembles the halo rows) and the residual has one row per owned
+        element.  The scheduler accumulates it into ``Q``.
         """
         raise NotImplementedError
 
@@ -90,7 +96,8 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """The original whole-mesh execution path, unchanged call for call."""
+    """The original whole-mesh execution path, unchanged call for call,
+    plus one compiled work unit per LTS cluster."""
 
     name = "serial"
 
@@ -107,36 +114,30 @@ class SerialBackend(ExecutionBackend):
                 Q, out=self._ck_scratch)
             return self._ck_scratch
 
-    def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
-        op = self.solver.op
+    def compile_unit(self, owned, halo, **fields):
+        solver = self.solver
+        return build_unit(solver, owned, halo,
+                          row_map(solver.mesh.n_elements, owned), **fields)
+
+    def update_predictor(self, Q, unit, dt, derivs, Iown) -> None:
         with _MET.phase("predict"):
             if _MET.enabled:
-                _MET.inc("elem_updates/predictor", int(mask.sum()))
-            new_derivs = op.predict_states(Q[mask], op.star[mask], op.starT[mask])
-            derivs[mask] = new_derivs
-            Iown[mask] = taylor_integrate(new_derivs, 0.0, dt)
+                _MET.inc("elem_updates/predictor", unit.n_owned)
+            new_derivs = self.solver.op.predict_states(Q[unit.owned],
+                                                       unit.op.starT)
+            derivs[unit.owned] = new_derivs
+            Iown[...] = taylor_integrate(new_derivs, 0.0, dt)
 
-    def corrector(self, I, derivs, dt, t0, active=None,
-                  gravity_mask=None, motion_mask=None) -> np.ndarray:
+    def corrector(self, I, derivs, dt, t0, unit=None) -> np.ndarray:
         if _MET.enabled:
             _MET.inc("elem_updates/corrector",
-                     len(I) if active is None else int(active.sum()))
-        with _MET.phase("corrector"):
-            return self._corrector(I, derivs, dt, t0, active,
-                                   gravity_mask, motion_mask)
-
-    def _corrector(self, I, derivs, dt, t0, active,
-                   gravity_mask, motion_mask) -> np.ndarray:
+                     len(I) if unit is None else unit.n_owned)
         solver = self.solver
-        out = solver.op.apply(I, active)
-        solver.gravity.step(derivs, dt, out, face_mask=gravity_mask)
-        if solver.motion is not None and (motion_mask is None or motion_mask.any()):
-            solver.motion.step(derivs, dt, out, t0=t0, face_mask=motion_mask)
-        if solver.fault is not None:
-            solver.fault.step(derivs, dt, out, active=active, t0=t0)
-        for s in solver.sources:
-            if active is None or active[s._elem]:
-                s.add(out, t0, dt)
+        rows = None if unit is None else unit.rows
+        with _MET.phase("corrector"):
+            out = (solver.op if unit is None else unit.op).apply(I)
+            add_face_fluxes(solver, derivs, dt, t0, out, unit, rows)
+            add_sources(solver, out, t0, dt, rows)
         return out
 
 

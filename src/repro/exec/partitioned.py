@@ -8,9 +8,8 @@ partition gets
 * the **owned** elements it updates,
 * a one-element **halo** layer (the neighbors across cut faces whose
   time-integrated predictor its face kernels read), and
-* a per-partition :class:`~repro.core.kernels.SpatialOperator` restricted
-  to its owned faces, with element indices remapped to the local
-  owned-first layout (:meth:`SpatialOperator.restricted`).
+* a :class:`~repro.exec.unit.WorkUnit` compiled over both (as is every
+  LTS cluster, once per partition: :meth:`PartitionedBackend.compile_unit`).
 
 A step then runs in two phases with a barrier between them:
 
@@ -19,10 +18,10 @@ A step then runs in two phases with a barrier between them:
 2. **correct** — every partition *gathers* the time-integrated predictor
    of its owned + halo elements (this copy is the halo exchange: in a
    distributed run it would be the MPI message), runs its restricted
-   volume/face kernels, scatters the owned residual rows back, and applies
-   the gravity / prescribed-motion / fault modules of its owned faces.
+   volume/face kernels, writes its owned residual rows, and applies the
+   gravity / prescribed-motion / fault modules of its owned faces.
 
-All writes target disjoint global rows, so the result is independent of
+All writes target disjoint rows, so the result is independent of
 thread scheduling; the workers run concurrently because NumPy releases
 the GIL inside the batched GEMMs, and they split the caller's BLAS
 threads between them (:mod:`repro.exec.threads`).  The dynamic-rupture
@@ -35,7 +34,7 @@ once and its friction laws may carry per-face parameter arrays.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +44,16 @@ from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_
 from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
 from .threads import blas_limit, blas_threads
+from .unit import (
+    WorkUnit,
+    add_face_fluxes,
+    add_sources,
+    build_unit,
+    halo_of,
+    row_map,
+)
 
-__all__ = ["PartitionPlan", "PartitionedBackend", "fault_atomic_partition"]
+__all__ = ["PartitionedBackend", "fault_atomic_partition"]
 
 _MET = get_metrics()
 
@@ -72,33 +79,6 @@ def fault_atomic_partition(mesh, parts: np.ndarray) -> np.ndarray:
     ]))
     parts[ids] = parts[ids].min()
     return parts
-
-
-@dataclass
-class PartitionPlan:
-    """Everything one worker needs to advance its partition."""
-
-    part_id: int
-    owned: np.ndarray        # global element ids, owned by this partition
-    halo: np.ndarray         # global element ids read but not updated
-    cells: np.ndarray        # owned followed by halo (the local index space)
-    owned_local: np.ndarray  # bool over cells: True for the owned prefix
-    owned_mask: np.ndarray   # bool over all mesh elements
-    lop: object              # restricted SpatialOperator (local indices)
-    gravity_mask: np.ndarray # bool over the solver's gravity faces
-    motion_mask: np.ndarray | None
-    has_fault: bool
-    #: per-partition predictor scratch (only ever a prior predict_states
-    #: result for this partition — one worker task per plan, no sharing)
-    ck_scratch: np.ndarray | None = None
-
-    @property
-    def n_owned(self) -> int:
-        return len(self.owned)
-
-    @property
-    def n_halo(self) -> int:
-        return len(self.halo)
 
 
 class PartitionedBackend(ExecutionBackend):
@@ -128,7 +108,6 @@ class PartitionedBackend(ExecutionBackend):
         self.refine = refine
         self._pool = None
         self._derivs_scratch = None
-        self.plans: list[PartitionPlan] = []
         self.halo_exchanges = 0
 
     # ------------------------------------------------------------------
@@ -143,49 +122,54 @@ class PartitionedBackend(ExecutionBackend):
         self.parts = parts
         self._imbalance = imbalance(parts, weights) if n_parts > 1 else 1.0
         self._edge_cut = edge_cut(parts, mesh.dual_graph_edges())
-        self._build_plans(parts)
+        # (owned, halo) sizes per partition for stats(), without compiling
+        self._sizes = [(int((parts == p).sum()), len(halo_of(mesh, parts == p)))
+                       for p in np.unique(parts)]
 
-    def _build_plans(self, parts: np.ndarray) -> None:
+    @cached_property
+    def full(self) -> WorkUnit:
+        """The whole mesh as one unit, one part per partition (GTS work);
+        compiled on first use, so an LTS run never holds it."""
+        ne = self.solver.mesh.n_elements
+        return self.compile_unit(np.arange(ne), np.zeros(0, np.int64))
+
+    @property
+    def plans(self) -> list[WorkUnit]:
+        return list(self.full.parts)
+
+    def compile_unit(self, owned, halo, **fields) -> WorkUnit:
+        """A unit whose work is split into one sub-unit per partition.
+
+        Each part owns the unit's elements in its partition and reads the
+        far side of its cut faces, all of them among the unit's ``cells``;
+        ``src_rows``/``out_rows`` locate it in the unit's window buffer and
+        residual."""
         solver = self.solver
-        mesh = solver.mesh
-        ne = mesh.n_elements
-        em, ep = mesh.interior.minus_elem, mesh.interior.plus_elem
-        g_elem = solver.gravity.elem
-        m_elem = solver.motion.elem if solver.motion is not None else None
-        fault_em = mesh.interior.minus_elem[mesh.interior.is_fault]
-
-        self.plans = []
-        for p in range(int(parts.max()) + 1):
-            owned_mask = parts == p
-            if not owned_mask.any():
-                continue
-            # halo = the far side of every cut face touching this partition
-            halo_mask = np.zeros(ne, dtype=bool)
-            out_m = owned_mask[em] & ~owned_mask[ep]
-            out_p = owned_mask[ep] & ~owned_mask[em]
-            halo_mask[ep[out_m]] = True
-            halo_mask[em[out_p]] = True
-            owned = np.flatnonzero(owned_mask)
-            halo = np.flatnonzero(halo_mask)
-            cells = np.concatenate([owned, halo])
-            owned_local = np.zeros(len(cells), dtype=bool)
-            owned_local[: len(owned)] = True
-            self.plans.append(PartitionPlan(
-                part_id=p,
-                owned=owned,
-                halo=halo,
-                cells=cells,
-                owned_local=owned_local,
-                owned_mask=owned_mask,
-                lop=solver.op.restricted(cells, len(owned)),
-                gravity_mask=owned_mask[g_elem],
-                motion_mask=None if m_elem is None else owned_mask[m_elem],
-                has_fault=bool(owned_mask[fault_em].any()),
-            ))
+        ne = solver.mesh.n_elements
+        whole_mesh = len(owned) == ne
+        unit = WorkUnit(owned=owned, halo=halo, op=None,
+                        rows=None if whole_mesh else row_map(ne, owned),
+                        gravity_faces=None, motion_faces=None,
+                        fault_faces=None, **fields)
+        pos = row_map(ne, unit.cells)
+        parts = []
+        for p in np.unique(self.parts[owned]):
+            sub = owned[self.parts[owned] == p]
+            mask = np.zeros(ne, dtype=bool)
+            mask[sub] = True
+            part = build_unit(solver, sub, halo_of(solver.mesh, mask), None,
+                              part_id=int(p))
+            part.src_rows = pos[part.cells]
+            if (part.src_rows < 0).any():
+                raise ValueError("a partition's halo leaves its unit's cells")
+            part.out_rows = sub if whole_mesh else unit.rows[sub]
+            parts.append(part)
+        unit.parts = tuple(parts)
+        return unit
 
     # ------------------------------------------------------------------
-    def _run(self, fn) -> None:
-        plans = self.plans
+    def _run(self, fn, plans=None) -> None:
+        plans = self.plans if plans is None else plans
         concurrent = min(self.workers, len(plans))
         if concurrent <= 1:
             for plan in plans:
@@ -213,14 +197,13 @@ class PartitionedBackend(ExecutionBackend):
         shape = (len(Q), op.order + 1, op.nbasis, 9)
         if derivs is None or derivs.shape != shape:
             derivs = self._derivs_scratch = np.empty(shape)
-        def work(plan):
+        def work(part):
             # a trace-only span: the predictor's time is the "predict" phase
-            with _MET.span("worker/predict", part=plan.part_id,
-                           owned=plan.n_owned):
-                plan.ck_scratch = op.predict_states(
-                    Q[plan.owned], op.star[plan.owned], op.starT[plan.owned],
-                    out=plan.ck_scratch)
-                derivs[plan.owned] = plan.ck_scratch
+            with _MET.span("worker/predict", part=part.part_id,
+                           owned=part.n_owned):
+                part.ck_scratch = op.predict_states(
+                    Q[part.owned], part.op.starT, out=part.ck_scratch)
+                derivs[part.owned] = part.ck_scratch
 
         with _MET.phase("predict"):
             if _MET.enabled:
@@ -228,81 +211,53 @@ class PartitionedBackend(ExecutionBackend):
             self._run(work)
         return derivs
 
-    def update_predictor(self, Q, mask, dt, derivs, Iown) -> None:
+    def update_predictor(self, Q, unit, dt, derivs, Iown) -> None:
         op = self.solver.op
-        def work(plan):
-            ids = plan.owned_mask & mask
-            if not ids.any():
-                return
-            with _MET.span("worker/predict", part=plan.part_id,
-                           owned=int(ids.sum())):
-                new_derivs = op.predict_states(Q[ids], op.star[ids],
-                                               op.starT[ids])
-                derivs[ids] = new_derivs
-                Iown[ids] = taylor_integrate(new_derivs, 0.0, dt)
+        def work(part):
+            with _MET.span("worker/predict", part=part.part_id,
+                           owned=part.n_owned):
+                new_derivs = op.predict_states(Q[part.owned], part.op.starT)
+                derivs[part.owned] = new_derivs
+                Iown[part.out_rows] = taylor_integrate(new_derivs, 0.0, dt)
 
         with _MET.phase("predict"):
             if _MET.enabled:
-                _MET.inc("elem_updates/predictor", int(mask.sum()))
-            self._run(work)
+                _MET.inc("elem_updates/predictor", unit.n_owned)
+            self._run(work, unit.parts)
 
-    def corrector(self, I, derivs, dt, t0, active=None,
-                  gravity_mask=None, motion_mask=None) -> np.ndarray:
+    def corrector(self, I, derivs, dt, t0, unit=None) -> np.ndarray:
         solver = self.solver
-        R = solver.op.new_state()
+        unit = self.full if unit is None else unit
+        # every owned row is written by exactly one part
+        R = np.empty((unit.n_owned, solver.op.nbasis, 9))
+        rows = unit.rows
 
         profiled = _MET.enabled
 
-        def work(plan):
-            if active is None:
-                act = plan.owned_local
-            else:
-                act = plan.owned_local & active[plan.cells]
-            if act.any():
-                # halo exchange: gather the time-integrated predictor of the
-                # owned elements plus the one-element halo layer
-                t_gather = _time.perf_counter() if profiled else 0.0
-                Iloc = I[plan.cells]
-                if profiled:
-                    t_compute = _time.perf_counter()
-                    _MET.interval(f"worker/p{plan.part_id}/halo_gather",
-                                  t_gather, t_compute, part=plan.part_id,
-                                  halo=plan.n_halo)
-                outloc = np.zeros_like(Iloc)
-                plan.lop.volume_residual(Iloc, outloc, active=act)
-                plan.lop.interior_residual(Iloc, outloc, active=act)
-                plan.lop.boundary_residual(Iloc, outloc, active=act)
-                R[plan.cells[act]] = outloc[act]
-            elif profiled:
-                t_compute = _time.perf_counter()
-            gm = plan.gravity_mask if gravity_mask is None \
-                else plan.gravity_mask & gravity_mask
-            if gm.any():
-                solver.gravity.step(derivs, dt, R, face_mask=gm)
-            if solver.motion is not None:
-                mm = plan.motion_mask if motion_mask is None \
-                    else plan.motion_mask & motion_mask
-                if mm.any():
-                    solver.motion.step(derivs, dt, R, t0=t0, face_mask=mm)
-            if solver.fault is not None and plan.has_fault:
-                act_g = plan.owned_mask if active is None else plan.owned_mask & active
-                solver.fault.step(derivs, dt, R, active=act_g, t0=t0)
+        def work(part):
+            # halo exchange: gather the time-integrated predictor of the
+            # owned elements plus the one-element halo layer
+            t_gather = _time.perf_counter() if profiled else 0.0
+            Iloc = I[part.src_rows]
             if profiled:
-                _MET.interval(f"worker/p{plan.part_id}/compute", t_compute,
-                              _time.perf_counter(), part=plan.part_id,
-                              owned=int(act.sum()) if active is not None
-                              else plan.n_owned)
+                t_compute = _time.perf_counter()
+                _MET.interval(f"worker/p{part.part_id}/halo_gather",
+                              t_gather, t_compute, part=part.part_id,
+                              halo=part.n_halo)
+            R[part.out_rows] = part.op.apply(Iloc)
+            add_face_fluxes(solver, derivs, dt, t0, R, part, rows)
+            if profiled:
+                _MET.interval(f"worker/p{part.part_id}/compute", t_compute,
+                              _time.perf_counter(), part=part.part_id,
+                              owned=part.n_owned)
 
         with _MET.phase("corrector"):
             if _MET.enabled:
-                _MET.inc("elem_updates/corrector",
-                         len(I) if active is None else int(active.sum()))
-            self._run(work)
+                _MET.inc("elem_updates/corrector", unit.n_owned)
+            self._run(work, unit.parts)
         self.halo_exchanges += 1
         # point sources are few and cheap: applied once, after the barrier
-        for s in solver.sources:
-            if active is None or active[s._elem]:
-                s.add(R, t0, dt)
+        add_sources(solver, R, t0, dt, rows)
         return R
 
     # ------------------------------------------------------------------
@@ -321,13 +276,13 @@ class PartitionedBackend(ExecutionBackend):
         return {
             "backend": self.name,
             "workers": self.workers,
-            "n_parts": len(self.plans),
-            "owned": [p.n_owned for p in self.plans],
-            "halo": [p.n_halo for p in self.plans],
+            "n_parts": len(self._sizes),
+            "owned": [owned for owned, _ in self._sizes],
+            "halo": [halo for _, halo in self._sizes],
             "imbalance": self._imbalance,
             "edge_cut": self._edge_cut,
             "halo_exchanges": self.halo_exchanges,
         }
 
     def describe(self) -> str:
-        return f"partitioned(workers={self.workers}, parts={len(self.plans)})"
+        return f"partitioned(workers={self.workers}, parts={len(self._sizes)})"

@@ -27,10 +27,14 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     flux matrices (``G`` arrays).  The face-quadrature dimension
     (``nfq > B`` for our rules) disappears from the step loop entirely.
 
-Local time-stepping repeatedly calls the surface kernels with the same
-per-cluster activity masks; the per-group masked selections are content-
-addressed (SHA-1 of the mask bytes) and cached on the operator, so the
-selection work happens once per cluster, not once per micro-step.
+Restriction (LTS clusters, mesh partitions)
+    No kernel has a masked variant: subsets of the mesh run on the
+    restricted operator of a *work unit* (:mod:`repro.exec.unit`),
+    compiled once.  Per orientation class it keeps the faces with an
+    owned side ordered ``[minus owned only | both | plus owned only]``,
+    so the owned sides are the leading slice ``grp.minus`` and the
+    trailing slice ``grp.plus`` of one gather and no halo side is ever
+    computed; on a full operator both slices span every face.
 
 All results match the einsum/quadrature reference kernels of
 ``tests/reference_kernels.py`` up to floating-point reassociation (the
@@ -40,18 +44,12 @@ relative).
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ..core.basis import _tet_mode_indices, basis_size, get_reference_element
-from ..obs.metrics import get_metrics
-
-_MET = get_metrics()
-
 __all__ = [
     "ElementKernelPlan",
     "element_plan",
@@ -60,12 +58,7 @@ __all__ = [
     "fused_volume_residual",
     "fused_interior_residual",
     "fused_boundary_residual",
-    "MASK_CACHE_MAX",
 ]
-
-#: masked sub-plan cache entries kept per operator and residual kind
-#: (LTS produces one mask per cluster; 64 covers deep hierarchies)
-MASK_CACHE_MAX = 64
 
 
 # ----------------------------------------------------------------------
@@ -207,125 +200,39 @@ def attach_fused_groups(plan, ref) -> None:
             grp.scale[:, None, None]
 
 
-def _mask_digest(active: np.ndarray) -> bytes:
-    return hashlib.sha1(active.tobytes()).digest()
-
-
-def _cache_put(cache: OrderedDict, key, value) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > MASK_CACHE_MAX:
-        cache.popitem(last=False)
-
-
 # ----------------------------------------------------------------------
 # fused residual kernels
 # ----------------------------------------------------------------------
-def fused_volume_residual(op, I, out, active=None) -> None:
-    """Stacked-stiffness volume kernel (see module docstring)."""
+def fused_volume_residual(op, I, out) -> None:
+    """Stacked-stiffness volume kernel (see module docstring): acts on
+    the first ``len(op.starT)`` rows of ``I``, the owned prefix."""
     plan = element_plan(op.order)
-    if active is None:
-        Ie, starT, tgt = I, op.starT, slice(None)
-    else:
-        key = _mask_digest(active)
-        cache = op._mask_cache_volume
-        hit = cache.get(key)
-        if _MET.enabled:
-            _MET.inc("cache/mask_hits" if hit is not None
-                     else "cache/mask_misses")
-        if hit is None:
-            idx = np.flatnonzero(active)
-            hit = (idx, np.ascontiguousarray(op.starT[idx]))
-            _cache_put(cache, key, hit)
-        idx, starT = hit
-        Ie, tgt = np.ascontiguousarray(I[idx]), idx
-    n = len(Ie)
-    W = np.matmul(Ie[:, None], starT)
-    out[tgt] += np.matmul(plan.DT, W.reshape(n, 3 * op.nbasis, 9))
+    n = len(op.starT)
+    W = np.matmul(I[:n, None], op.starT)
+    out[:n] += np.matmul(plan.DT, W.reshape(n, 3 * op.nbasis, 9))
 
 
-def _interior_masked_entries(op, active):
-    """Per-group masked selections for one activity mask (cached)."""
-    key = _mask_digest(active)
-    cache = op._mask_cache_interior
-    entries = cache.get(key)
-    if _MET.enabled:
-        _MET.inc("cache/mask_hits" if entries is not None
-                 else "cache/mask_misses")
-    if entries is not None:
-        return entries
-    entries = []
-    for grp in op.interior_groups:
-        am = active[grp.em]
-        ap = active[grp.ep]
-        sel = am | ap
-        if not np.any(sel):
-            entries.append(None)
-            continue
-        upd_m, upd_p = am[sel], ap[sel]
-        entries.append((
-            grp.em[sel], grp.ep[sel],
-            np.ascontiguousarray(grp.G1[sel]), np.ascontiguousarray(grp.G2[sel]),
-            np.ascontiguousarray(grp.G3[sel]), np.ascontiguousarray(grp.G4[sel]),
-            upd_m, upd_p, bool(np.any(upd_m)), bool(np.any(upd_p)),
-        ))
-    _cache_put(cache, key, entries)
-    return entries
-
-
-def fused_interior_residual(op, I, out, active=None) -> None:
+def fused_interior_residual(op, I, out) -> None:
     """Modal-factorized interior-face kernel (see module docstring)."""
-    if active is None:
-        groups = ((g, g.em, g.ep, g.G1, g.G2, g.G3, g.G4,
-                   slice(None), slice(None), True, True)
-                  for g in op.interior_groups)
-    else:
-        entries = _interior_masked_entries(op, active)
-        groups = ((g, *e) for g, e in zip(op.interior_groups, entries)
-                  if e is not None)
-    for grp, em, ep, G1, G2, G3, G4, upd_m, upd_p, do_m, do_p in groups:
-        Xm = I[em]
-        Xp = I[ep]
-        if do_m:
-            contrib = np.matmul(np.matmul(grp.Amm, Xm), G1)
-            contrib += np.matmul(np.matmul(grp.Amp, Xp), G2)
+    for grp in op.interior_groups:
+        Xm = I[grp.em]
+        Xp = I[grp.ep]
+        if len(grp.G1):
+            sl = grp.minus
+            contrib = np.matmul(np.matmul(grp.Amm, Xm[sl]), grp.G1)
+            contrib += np.matmul(np.matmul(grp.Amp, Xp[sl]), grp.G2)
             # within one orientation class every element appears at most
             # once per side, so fancy += is exact (no np.add.at needed)
-            if active is None:
-                out[em] += contrib
-            else:
-                out[em[upd_m]] += contrib[upd_m]
-        if do_p:
-            contrib = np.matmul(np.matmul(grp.App, Xp), G3)
-            contrib += np.matmul(np.matmul(grp.Apm, Xm), G4)
-            if active is None:
-                out[ep] += contrib
-            else:
-                out[ep[upd_p]] += contrib[upd_p]
+            out[grp.em[sl]] += contrib
+        if len(grp.G3):
+            sl = grp.plus
+            contrib = np.matmul(np.matmul(grp.App, Xp[sl]), grp.G3)
+            contrib += np.matmul(np.matmul(grp.Apm, Xm[sl]), grp.G4)
+            out[grp.ep[sl]] += contrib
 
 
-def fused_boundary_residual(op, I, out, active=None) -> None:
+def fused_boundary_residual(op, I, out) -> None:
     """Modal-factorized boundary-face kernel (see module docstring)."""
-    if active is None:
-        groups = ((g, g.elem, g.G) for g in op.boundary_groups)
-    else:
-        key = _mask_digest(active)
-        cache = op._mask_cache_boundary
-        entries = cache.get(key)
-        if _MET.enabled:
-            _MET.inc("cache/mask_hits" if entries is not None
-                     else "cache/mask_misses")
-        if entries is None:
-            entries = []
-            for grp in op.boundary_groups:
-                sel = active[grp.elem]
-                entries.append(
-                    (grp.elem[sel], np.ascontiguousarray(grp.G[sel]))
-                    if np.any(sel) else None
-                )
-            _cache_put(cache, key, entries)
-        groups = ((g, *e) for g, e in zip(op.boundary_groups, entries)
-                  if e is not None)
-    for grp, elem, G in groups:
-        contrib = np.matmul(np.matmul(grp.A, I[elem]), G)
-        out[elem] += contrib  # unique per (kind, local face) group
+    for grp in op.boundary_groups:
+        contrib = np.matmul(np.matmul(grp.A, I[grp.elem]), grp.G)
+        out[grp.elem] += contrib  # unique per (kind, local face) group

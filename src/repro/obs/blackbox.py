@@ -167,15 +167,9 @@ def locate_nonfinite(solver, lts=None) -> dict | None:
                     loc["lts_cluster"] = int(lts.cluster[elem])
                 except (AttributeError, IndexError, TypeError):
                     pass
-            plans = getattr(getattr(solver, "backend", None), "plans", None)
-            if plans:
-                for plan in plans:
-                    try:
-                        if plan.owned_mask[elem]:
-                            loc["partition"] = int(plan.part_id)
-                            break
-                    except (AttributeError, IndexError, TypeError):
-                        break
+            parts = getattr(getattr(solver, "backend", None), "parts", None)
+            if parts is not None and 0 <= elem < len(parts):
+                loc["partition"] = int(parts[elem])
         return loc
     return None
 

@@ -236,26 +236,26 @@ class FaultSolver:
         wp = np.einsum("fij,fqj->fqi", Tinv, tp, optimize=True)
         return wm, wp
 
-    def step(self, derivs, dt: float, out: np.ndarray, active=None, t0: float = 0.0) -> None:
+    def step(self, derivs, dt: float, out: np.ndarray, faces=None,
+             t0: float = 0.0, rows=None) -> None:
         """Solve the fault over one ADER window; add time-integrated fluxes.
 
         ``t0`` is the absolute start time of the window (for rupture-front
-        arrival bookkeeping); ``active`` restricts to elements of the
-        stepping LTS cluster (fault faces always have both sides in one
-        cluster).
+        arrival bookkeeping); ``faces`` (fault-face indices, default all)
+        restricts to the faces of one work unit (fault faces always have
+        both sides in one LTS cluster and one partition), and ``rows``
+        maps a global element id to its row of ``out``.
         """
         if not self._bound:
             raise RuntimeError("FaultSolver.step called before bind()")
         with _MET.phase("fault/friction"):
-            self._step(derivs, dt, out, active, t0)
+            self._step(derivs, dt, out, faces, t0, rows)
 
-    def _step(self, derivs, dt, out, active=None, t0: float = 0.0) -> None:
-        if active is None:
-            idx = np.arange(len(self.face_ids))
-        else:
-            idx = np.flatnonzero(active[self.em])
-            if idx.size == 0:
-                return
+    def _step(self, derivs, dt, out, faces=None, t0: float = 0.0,
+              rows=None) -> None:
+        idx = np.arange(len(self.face_ids)) if faces is None else faces
+        if len(idx) == 0:
+            return
 
         Zs_m = self.Zs_m[idx][:, None]
         Zs_p = self.Zs_p[idx][:, None]
@@ -345,7 +345,8 @@ class FaultSolver:
         flux_m = np.einsum("fij,fqj->fqi", self.TA_m[idx], Iwb_m, optimize=True)
         flux_p = np.einsum("fij,fqj->fqi", self.TA_p[idx], Iwb_p, optimize=True)
         self.op.project_face_flux(
-            self.em[idx], self.minus_face[idx], self.area[idx], flux_m, out
+            self.em[idx], self.minus_face[idx], self.area[idx], flux_m, out,
+            rows=rows,
         )
         pf, pm = self.plus_face[idx], self.perm[idx]
         cls = pf * 6 + pm
@@ -355,7 +356,7 @@ class FaultSolver:
             csel = cls == c
             self.op.project_face_flux(
                 ep[csel], None, area[csel], flux_p[csel], out,
-                plus_side=(int(c) // 6, int(c) % 6),
+                plus_side=(int(c) // 6, int(c) % 6), rows=rows,
             )
 
     # ------------------------------------------------------------------

@@ -21,9 +21,10 @@ single executor:
 * it fires the :class:`~repro.sched.hooks.HookBus` events every
   subscriber — watchdogs, heartbeats, receivers, checkpoints — now share.
 
-Any :class:`~repro.exec.backend.ExecutionBackend` executes the kernels;
-the scheduler never touches elements directly, so serial and partitioned
-runs replay the identical plan.
+Any :class:`~repro.exec.backend.ExecutionBackend` executes the kernels on
+the :class:`~repro.exec.unit.WorkUnit` it compiled for each cluster; the
+scheduler only assembles each unit's window (the halo rows of its buffer),
+so serial and partitioned runs replay the identical plan.
 """
 
 from __future__ import annotations
@@ -181,20 +182,24 @@ class Scheduler:
 
         op = lts.op
         ne, nb = op.n_elements, op.nbasis
-        derivs = backend.predict(solver.Q)
-        Iown = np.zeros((ne, nb, 9))
+        units = lts.units
+        # one window buffer per unit, in its owned-then-halo numbering:
+        # the owned rows hold the cluster's own window integral, the halo
+        # rows are assembled before each corrector (every halo element
+        # lies in an adjacent cluster, and the plan consumes every
+        # adjacent cluster at every micro-step, so no stale row is read)
+        win = [np.empty((len(u.cells), nb, 9)) for u in units]
+        # the first predictor, unit by unit (every element is owned by
+        # exactly one cluster, and the sweep is element-local)
+        derivs = np.empty((ne, op.order + 1, nb, 9))
+        for c, u in enumerate(units):
+            backend.update_predictor(solver.Q, u, dts[c], derivs,
+                                     win[c][:u.n_owned])
+        # completed window integrals of finer clusters, accumulated at the
+        # rows coarser units read (each unit's export rows)
         Ibuf = np.zeros((ne, nb, 9))
-        for c in range(lts.n_clusters):
-            idx = lts.idx[c]
-            Iown[idx] = taylor_integrate(derivs[idx], 0.0, dts[c])
-
-        # the window-assembly buffer is allocated once for the whole run:
-        # each micro-step overwrites exactly the rows its corrector reads
-        # (the active cluster plus every consumed neighbor — LTS adjacency
-        # guarantees the consume list covers all faces with an active side),
-        # so stale rows from earlier micro-steps are never observed
-        I = np.zeros((ne, nb, 9))
-        state = (plan, dt_min, dts, derivs, Iown, Ibuf, I, t0)
+        exports = [u.owned[u.export_rows] for u in units]
+        state = (plan, dt_min, dts, derivs, win, Ibuf, exports, t0)
         met_state = {"wall": time.perf_counter(), "steps": 0}
         for i in range(plan.n_micro):
             c = int(plan.cluster[i])
@@ -228,44 +233,38 @@ class Scheduler:
 
     def _exec_micro(self, i: int, c: int, state) -> None:
         """One cluster micro-step: assemble windows, correct, publish."""
-        plan, dt_min, dts, derivs, Iown, Ibuf, I, t0 = state
-        lts = self.lts
+        plan, dt_min, dts, derivs, win, Ibuf, exports, t0 = state
         solver = self.solver
-        mask = lts.masks[c]
-        idx = lts.idx[c]
+        unit = self.lts.units[c]
+        I = win[c]
         t_a = int(plan.t_int[i]) * dt_min
 
-        # assemble per-element time-integrated data for this window (into
-        # the run-lifetime buffer; see _run_lts for why reuse is exact)
-        I[idx] = Iown[idx]
+        # assemble the halo rows of this window
         for cn, mode, off_int in plan.consumes(i):
-            nidx = lts.idx[int(cn)]
+            rows, ids = unit.halo_groups[int(cn)]
             if mode == CONSUME_TAYLOR:
                 # a coarser neighbor predicted earlier with a longer
                 # window; integrate its Taylor expansion over ours
                 off = int(off_int) * dt_min
-                I[nidx] = taylor_integrate(derivs[nidx], off, off + dts[c])
+                I[rows] = taylor_integrate(derivs[ids], off, off + dts[c])
             else:
                 # a finer neighbor accumulated its completed windows
-                I[nidx] = Ibuf[nidx]
+                I[rows] = Ibuf[ids]
 
-        out = self.backend.corrector(
-            I, derivs, dts[c], t0=t0 + t_a, active=mask,
-            gravity_mask=lts.gravity_masks[c],
-            motion_mask=None if lts.motion_masks is None else lts.motion_masks[c],
-        )
-        solver.Q[idx] += out[idx]
+        solver.Q[unit.owned] += self.backend.corrector(
+            I, derivs, dts[c], t0=t0 + t_a, unit=unit)
 
         # the just-completed window becomes available to coarser neighbors
-        Ibuf[idx] += Iown[idx]
+        Ibuf[exports[c]] += I[unit.export_rows]
         # buffers of finer neighbors covering this window were consumed
         for cn in plan.clears(i):
-            Ibuf[lts.idx[int(cn)]] = 0.0
+            Ibuf[exports[int(cn)]] = 0.0
 
-        # next predictor for this cluster (compiled flag: skipped when the
-        # run is over for it)
+        # next predictor for this cluster, into the owned rows (compiled
+        # flag: skipped when the run is over for it)
         if plan.update_pred[i]:
-            self.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
+            self.backend.update_predictor(solver.Q, unit, dts[c], derivs,
+                                          I[:unit.n_owned])
 
     # ------------------------------------------------------------------
     def compiled_plan(self, t_end: float, dt_scale: float = 1.0) -> StepPlan:

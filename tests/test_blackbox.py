@@ -187,6 +187,19 @@ class TestLocalization:
         assert loc["n_nan"] == 1 and loc["n_inf"] == 0
         assert loc["value"] == "nan"
 
+    def test_locate_names_partition(self):
+        """On the partitioned backend the origin names the partition that
+        owns the element."""
+        solver = CoupledSolver(build_coupled().mesh, order=1,
+                               backend="partitioned", workers=2)
+        parts = solver.backend.parts
+        elem = int(np.flatnonzero(parts == parts.max())[0])
+        solver.Q[elem, 0, 0] = np.nan
+        loc = locate_nonfinite(solver)
+        assert loc["element"] == elem
+        assert loc["partition"] == int(parts.max()) > 0
+        solver.backend.close()
+
     def test_watchdog_report_names_element_and_field(self):
         """Satellite: the non-finite report localizes the first offender
         even without the full bundle path."""

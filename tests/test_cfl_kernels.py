@@ -9,6 +9,7 @@ from repro.core.ader import taylor_integrate
 from repro.core.cfl import cfl_factor, element_timesteps
 from repro.core.kernels import SpatialOperator
 from repro.core.materials import acoustic, elastic
+from repro.exec.unit import halo_of
 from repro.mesh.generators import box_mesh, layered_ocean_mesh
 
 ROCK = elastic(2700.0, 6000.0, 3464.0)
@@ -75,8 +76,9 @@ class TestSpatialOperator:
         assert np.abs(out).max() < 1e-12 * scale
 
     def test_masked_residual_matches_full(self):
-        """active-mask kernels must agree with the unmasked computation on
-        the selected elements (the LTS contract)."""
+        """The operator restricted to an element subset (an LTS cluster's
+        work unit) must agree with the full computation on the selected
+        elements, and have a row for those elements only."""
         op = self.make()
         rng = np.random.default_rng(0)
         Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
@@ -88,12 +90,15 @@ class TestSpatialOperator:
         op.boundary_residual(I, full)
         mask = np.zeros(op.n_elements, dtype=bool)
         mask[::3] = True
-        part = op.new_state()
-        op.volume_residual(I, part, active=mask)
-        op.interior_residual(I, part, active=mask)
-        op.boundary_residual(I, part, active=mask)
-        assert np.allclose(part[mask], full[mask], rtol=1e-12, atol=1e-14)
-        assert np.abs(part[~mask]).max() == 0.0
+        owned = np.flatnonzero(mask)
+        cells = np.concatenate([owned, halo_of(op.mesh, mask)])
+        sub = op.restricted(cells, len(owned))
+        part = sub.new_state()
+        sub.volume_residual(I[cells], part)
+        sub.interior_residual(I[cells], part)
+        sub.boundary_residual(I[cells], part)
+        assert part.shape == full[mask].shape
+        assert np.allclose(part, full[mask], rtol=1e-12, atol=1e-14)
 
     def test_apply_is_sum_of_parts(self):
         op = self.make()

@@ -10,11 +10,16 @@ reference.  This battery locks the fused stacked-GEMM path of
 * **golden trajectories** — full coupled runs (GTS gravity + source, and
   clustered LTS with a rupturing fault under a gravity ocean) compared
   state-for-state across backends and worker counts;
-* **per-kernel unit comparisons** on random modal states, masked and
-  unmasked;
+* **per-kernel unit comparisons** on random modal states, over the whole
+  mesh and over a work unit (against the oracle's masked residual);
 * **property tests** (hypothesis): element-permutation invariance,
   stride/contiguity independence, dtype stability, and idempotence of
   the hoisted plan across replays;
+* **work units** — for random clusterings, every cluster's unit residual
+  equals the oracle's masked residual on its owned rows, every (interior
+  face, side) lies in exactly one unit of its element's cluster, every
+  halo element's cluster is consumed by the step plan, and a corrector
+  reads nothing outside its unit's cells;
 * **plan-cache hygiene** — oracle and fused operators share one plan,
   including under ``REPRO_PLAN_CACHE=0``.
 """
@@ -24,9 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ader import taylor_integrate
 from repro.core.kernels import SpatialOperator
+from repro.core.lts import LocalTimeStepping
 from repro.exec import clear_plan_cache, get_plan_cache
-from repro.kernels.fusion import MASK_CACHE_MAX, element_plan
+from repro.exec.unit import halo_of
+from repro.kernels.fusion import element_plan
+from repro.sched import Scheduler
 
 from tests.reference_kernels import ReferenceOperator, reference_solvers
 from tests.test_exec_equivalence import (
@@ -111,6 +120,14 @@ def _operator_pair(variant, order=2):
     return ref_op, var_op
 
 
+def _restrict(op, active):
+    """``op`` restricted to the elements of ``active`` and their halo:
+    ``(sub-operator, cells)``."""
+    owned = np.flatnonzero(active)
+    cells = np.concatenate([owned, halo_of(op.mesh, active)])
+    return op.restricted(cells, len(owned)), cells
+
+
 def _assert_close(a, b, label, rtol=1e-12):
     scale = max(float(np.abs(a).max()), 1e-300)
     np.testing.assert_allclose(b, a, rtol=rtol, atol=rtol * scale,
@@ -133,14 +150,23 @@ class TestKernelUnits:
                                         "boundary_residual"])
     @pytest.mark.parametrize("masked", [False, True])
     def test_residuals(self, variant, kernel, masked):
+        """Whole mesh, or (``masked``) the restricted operator of a random
+        element set against the oracle's masked residual on its rows."""
         ref_op, var_op = _operator_pair(variant)
         rng = np.random.default_rng(42)
         I = rng.normal(size=(ref_op.n_elements, ref_op.nbasis, 9))
-        active = (rng.random(ref_op.n_elements) < 0.4) if masked else None
         out_ref = np.zeros_like(I)
-        out_var = np.zeros_like(I)
-        getattr(ref_op, kernel)(I, out_ref, active=active)
-        getattr(var_op, kernel)(I, out_var, active=active)
+        if masked:
+            active = rng.random(ref_op.n_elements) < 0.4
+            getattr(ref_op, kernel)(I, out_ref, active=active)
+            out_ref = out_ref[active]
+            sub, cells = _restrict(var_op, active)
+            out_var = sub.new_state()
+            getattr(sub, kernel)(I[cells], out_var)
+        else:
+            out_var = np.zeros_like(I)
+            getattr(ref_op, kernel)(I, out_ref)
+            getattr(var_op, kernel)(I, out_var)
         _assert_close(out_ref, out_var,
                       f"{kernel} ({variant}, masked={masked})")
 
@@ -161,8 +187,7 @@ class TestKernelUnits:
         np.testing.assert_array_equal(reused, fresh)
         # mismatched hint: fall back to a fresh, correct allocation
         n = 5
-        small = var_op.predict_states(Q2[:n], var_op.star[:n],
-                                      var_op.starT[:n], out=buf)
+        small = var_op.predict_states(Q2[:n], var_op.starT[:n], out=buf)
         assert small is not buf
         np.testing.assert_array_equal(small, fresh[:n])
 
@@ -215,8 +240,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
         perm = rng.permutation(op.n_elements)
-        base = op.predict_states(Q, op.star, op.starT)
-        permuted = op.predict_states(Q[perm], op.star[perm], op.starT[perm])
+        base = op.predict_states(Q, op.starT)
+        permuted = op.predict_states(Q[perm], op.starT[perm])
         np.testing.assert_array_equal(permuted, base[perm])
 
     @settings(max_examples=15, deadline=None)
@@ -249,11 +274,8 @@ class TestProperties:
         Q = rng.normal(size=(op.n_elements, op.nbasis, 9))
         derivs = op.predict(Q)
         assert derivs.dtype == np.float64
-        out = np.zeros_like(Q)
-        active = rng.random(op.n_elements) < 0.5
-        op.volume_residual(Q, out, active=active)
-        op.interior_residual(Q, out, active=active)
-        op.boundary_residual(Q, out, active=active)
+        sub, cells = _restrict(op, rng.random(op.n_elements) < 0.5)
+        out = sub.apply(Q[cells])
         assert out.dtype == np.float64
         plan = element_plan(op.order)
         assert plan.DT.dtype == np.float64
@@ -261,31 +283,153 @@ class TestProperties:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_masked_replay_idempotent(self, prop_op, seed):
-        """Replaying the same activity mask (the LTS cadence) through the
-        cached masked sub-plans is bitwise-stable across repetitions."""
+    def test_unit_replay_idempotent(self, prop_op, seed):
+        """Replaying one restricted operator (the LTS cadence) is
+        bitwise-stable across repetitions."""
         op = prop_op
         rng = np.random.default_rng(seed)
         I = rng.normal(size=(op.n_elements, op.nbasis, 9))
-        active = rng.random(op.n_elements) < 0.3
-        first = np.zeros_like(I)
-        op.interior_residual(I, first, active=active)
+        sub, cells = _restrict(op, rng.random(op.n_elements) < 0.3)
+        first = sub.new_state()
+        sub.interior_residual(I[cells], first)
         for _ in range(3):
-            again = np.zeros_like(I)
-            op.interior_residual(I, again, active=active)
+            again = sub.new_state()
+            sub.interior_residual(I[cells], again)
             np.testing.assert_array_equal(again, first)
 
-    def test_mask_cache_is_bounded(self, prop_op):
-        """Distinct masks beyond MASK_CACHE_MAX evict LRU-style instead of
-        growing without bound."""
-        op = prop_op
-        rng = np.random.default_rng(0)
-        I = rng.normal(size=(op.n_elements, op.nbasis, 9))
-        out = np.zeros_like(I)
-        for _ in range(MASK_CACHE_MAX + 10):
-            active = rng.random(op.n_elements) < 0.3
-            op.volume_residual(I, out, active=active)
-        assert len(op._mask_cache_volume) <= MASK_CACHE_MAX
+
+# ----------------------------------------------------------------------
+# work units
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def unit_rig():
+    """(oracle op, serial GTS solver) over one mesh."""
+    clear_plan_cache()
+    solver = build_gts(order=2)
+    clear_plan_cache()
+    return ReferenceOperator(solver.mesh, 2), solver
+
+
+def _units(solver, cluster):
+    """One serial work unit per non-empty cluster of ``cluster``."""
+    units = {}
+    for c in np.unique(cluster):
+        active = cluster == c
+        units[int(c)] = solver.backend.compile_unit(
+            np.flatnonzero(active), halo_of(solver.mesh, active))
+    return units
+
+
+class TestWorkUnits:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_clusters=st.integers(1, 4))
+    def test_unit_residual_matches_oracle(self, unit_rig, seed, n_clusters):
+        ref_op, solver = unit_rig
+        rng = np.random.default_rng(seed)
+        ne = ref_op.n_elements
+        cluster = rng.integers(0, n_clusters, ne)
+        I = rng.normal(size=(ne, ref_op.nbasis, 9))
+        for c, unit in _units(solver, cluster).items():
+            active = cluster == c
+            want = np.zeros_like(I)
+            ref_op.volume_residual(I, want, active=active)
+            ref_op.interior_residual(I, want, active=active)
+            ref_op.boundary_residual(I, want, active=active)
+            _assert_close(want[active], unit.op.apply(I[unit.cells]),
+                          f"unit residual (cluster {c})")
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_clusters=st.integers(1, 4))
+    def test_face_sides_lie_in_one_unit(self, unit_rig, seed, n_clusters):
+        """Every (interior face, side) is updated by exactly one unit: the
+        one of its element's cluster."""
+        _, solver = unit_rig
+        mesh = solver.mesh
+        itf = mesh.interior
+        cluster = np.random.default_rng(seed).integers(0, n_clusters,
+                                                       mesh.n_elements)
+        n_faces = len(itf.minus_elem)
+        seen = np.zeros((n_faces, 2), dtype=np.int64)
+        where = np.full((n_faces, 2), -1)
+        for c, unit in _units(solver, cluster).items():
+            for grp in unit.op.interior_groups:
+                for side, sl in enumerate((grp.minus, grp.plus)):
+                    seen[grp.face_ids[sl], side] += 1
+                    where[grp.face_ids[sl], side] = c
+        regular = ~itf.is_fault
+        assert (seen[regular] == 1).all()
+        assert (seen[~regular] == 0).all()
+        np.testing.assert_array_equal(where[regular, 0],
+                                      cluster[itf.minus_elem[regular]])
+        np.testing.assert_array_equal(where[regular, 1],
+                                      cluster[itf.plus_elem[regular]])
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_halo_clusters_are_consumed(self, backend, workers):
+        """The step plan consumes the cluster of every halo element at
+        every micro-step, and each unit's halo groups are its halo."""
+        solver, _, lts = build_lts_fault_gravity(backend=backend,
+                                                 workers=workers)
+        assert lts.n_clusters > 1
+        plan = Scheduler(solver, lts=lts).compiled_plan(solver.t + 0.01)
+        for unit in lts.units:
+            assert set(lts.cluster[unit.halo].tolist()) == set(unit.halo_groups)
+            cells = unit.cells
+            for cn, (rows, ids) in unit.halo_groups.items():
+                np.testing.assert_array_equal(cells[rows], ids)
+                assert (lts.cluster[ids] == cn).all()
+        for i in range(plan.n_micro):
+            consumed = {int(cn) for cn, _, _ in plan.consumes(i)}
+            unit = lts.units[int(plan.cluster[i])]
+            assert set(lts.cluster[unit.halo].tolist()) <= consumed
+        solver.backend.close()
+
+    def test_sources_added_after_compilation_count(self):
+        """Units match point sources at each call, so a source added after
+        the LTS was built acts exactly like one added before."""
+        before = build_gts(order=1)
+        lts_before = LocalTimeStepping(before)
+        after = build_gts(order=1)
+        source = after.sources.pop()
+        lts_after = LocalTimeStepping(after)
+        after.sources.append(source)
+        lts_before.run(0.05)
+        lts_after.run(0.05)
+        assert np.abs(before.Q).max() > 0
+        np.testing.assert_array_equal(after.Q, before.Q)
+
+    @pytest.mark.parametrize("backend,workers", [("serial", None),
+                                                 ("partitioned", 2)])
+    def test_corrector_reads_only_unit_cells(self, backend, workers):
+        """With NaN in every window-integral, predictor and state row
+        outside a unit's cells, its corrector and predictor update stay
+        finite."""
+        solver, fault, lts = build_lts_fault_gravity(backend=backend,
+                                                     workers=workers)
+        lts.run(0.05)
+        be = solver.backend
+        nb = solver.op.nbasis
+        dt = float(lts.dt_min)
+        derivs = be.predict(solver.Q)
+        I = taylor_integrate(derivs, 0.0, dt)
+        for unit in lts.units:
+            outside = np.ones(solver.mesh.n_elements, dtype=bool)
+            outside[unit.cells] = False
+            assert outside.any()
+            I_nan, d_nan, Q_nan = I.copy(), derivs.copy(), solver.Q.copy()
+            I_nan[outside] = np.nan
+            d_nan[outside] = np.nan
+            Q_nan[outside] = np.nan
+            out = be.corrector(I_nan[unit.cells], d_nan, dt, solver.t,
+                               unit=unit)
+            assert out.shape == (unit.n_owned, nb, 9)
+            assert np.isfinite(out).all()
+            Iown = np.empty((unit.n_owned, nb, 9))
+            be.update_predictor(Q_nan, unit, dt, d_nan, Iown)
+            assert np.isfinite(Iown).all()
+        assert np.isfinite(fault.slip).all()
+        be.close()
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +485,8 @@ class TestPlanCacheInvalidation:
             solver = _variant_solver(build_gts, variant, order=2,
                                      backend="partitioned", workers=2)
             for plan in solver.backend.plans:
-                assert type(plan.lop) is type(solver.op)
-                assert plan.lop.kernel_variant == variant
+                assert type(plan.op) is type(solver.op)
+                assert plan.op.kernel_variant == variant
             solver.backend.close()
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ader import taylor_integrate
+from repro.core.gravity import PROPAGATOR_CACHE_MAX
 from repro.core.lts import LocalTimeStepping
 from repro.core.materials import acoustic, elastic
 from repro.core.resilience import ResilientRunner
@@ -232,8 +233,10 @@ def old_gts_run(solver, t_end, dt=None):
 
 
 def old_lts_run(lts, t_end, dt_scale=1.0):
-    """The retired event-driven LTS loop, verbatim (scan + float window
-    arithmetic exactly as ``LocalTimeStepping.run`` executed it)."""
+    """The retired event-driven LTS loop (scan + float window arithmetic
+    exactly as ``LocalTimeStepping.run`` executed it), on the cluster work
+    units: whole-mesh window buffers, every neighbor cluster assembled in
+    full, each unit's corrector fed the rows of its cells."""
     solver = lts.solver
     rate, cmax = lts.rate, lts.cmax
     dt_macro = lts.dt_min * dt_scale * rate**cmax
@@ -255,9 +258,9 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
     derivs = lts.backend.predict(solver.Q)
     Iown = np.zeros((ne, nb, 9))
     Ibuf = np.zeros((ne, nb, 9))
+    owned = [unit.owned for unit in lts.units]
     for c in range(lts.n_clusters):
-        mask = lts.masks[c]
-        Iown[mask] = taylor_integrate(derivs[mask], 0.0, dts[c])
+        Iown[owned[c]] = taylor_integrate(derivs[owned[c]], 0.0, dts[c])
 
     def eligible(c):
         if t_int[c] >= end_int:
@@ -280,29 +283,29 @@ def old_lts_run(lts, t_end, dt_scale=1.0):
         ]
         assert cands, "reference loop deadlocked"
         _, _, c = min(cands)
-        mask = lts.masks[c]
+        unit = lts.units[c]
+        mask = owned[c]
         t_a = t_int[c] * dt_min
         I = np.zeros((ne, nb, 9))
         I[mask] = Iown[mask]
         for cn in lts.adjacent[c]:
-            mn = lts.masks[cn]
+            mn = owned[cn]
             if steps_int[cn] > steps_int[c]:
                 off = (t_int[c] - pred_int[cn]) * dt_min
                 I[mn] = taylor_integrate(derivs[mn], off, off + dts[c])
             else:
                 I[mn] = Ibuf[mn]
         out = lts.backend.corrector(
-            I, derivs, dts[c], t0=t0 + t_a, active=mask,
-            gravity_mask=lts.gravity_masks[c],
-            motion_mask=None if lts.motion_masks is None else lts.motion_masks[c],
-        )
-        solver.Q[mask] += out[mask]
+            I[unit.cells], derivs, dts[c], t0=t0 + t_a, unit=unit)
+        solver.Q[mask] += out
         Ibuf[mask] += Iown[mask]
         for cn in lts.adjacent[c]:
             if steps_int[cn] < steps_int[c]:
-                Ibuf[lts.masks[cn]] = 0.0
+                Ibuf[owned[cn]] = 0.0
         if t_int[c] + steps_int[c] < end_int:
-            lts.backend.update_predictor(solver.Q, mask, dts[c], derivs, Iown)
+            Iown_c = np.empty((unit.n_owned, nb, 9))
+            lts.backend.update_predictor(solver.Q, unit, dts[c], derivs, Iown_c)
+            Iown[mask] = Iown_c
             pred_int[c] = t_int[c] + steps_int[c]
         t_int[c] += steps_int[c]
     solver.t = t_end
@@ -410,6 +413,20 @@ class TestTermination:
         lts.run(t_end, callback=lambda x: syncs.append(x.t))
         assert len(syncs) == 16
         assert s.t == t_end
+
+    def test_segmented_runs_keep_the_propagator_cache_bounded(self):
+        """Every ``run()`` segment re-derives ``dt_min`` from its span and
+        lands on new float ``dt`` keys of the gravity propagator cache;
+        the cache stays bounded however many segments are marched."""
+        s, lts = build_coupled(lts=True)
+        macro = lts.dt_min * lts.rate**lts.cmax
+        seen = set()
+        for k in range(24):
+            lts.run(s.t + macro * (1.0 + 0.01 * k))
+            seen |= set(s.gravity._propagators)
+            assert len(s.gravity._propagators) <= PROPAGATOR_CACHE_MAX
+        assert len(seen) > PROPAGATOR_CACHE_MAX
+        assert np.isfinite(s.Q).all()
 
 
 # ---------------------------------------------------------------------------
