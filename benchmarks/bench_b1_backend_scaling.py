@@ -45,10 +45,26 @@ def _time_steps(solver, n_steps=N_STEPS):
     return (time.perf_counter() - t0) / n_steps
 
 
-def _region_blas_threads(backend):
-    """BLAS threads a worker of ``backend`` sees inside its parallel region."""
+def _region_blas_threads(solver):
+    """BLAS threads a partition worker sees inside its parallel region:
+    recorded in the predictor during one (untimed) extra step.
+
+    Run this only after the trajectory-equivalence assertion: the extra
+    step advances the solver past the compared state.
+    """
     seen = []
-    backend._run(lambda plan: seen.append(blas_threads()))
+    op = solver.op
+    predict = op.predict_states
+
+    def recording(*args, **kwargs):
+        seen.append(blas_threads())
+        return predict(*args, **kwargs)
+
+    op.predict_states = recording
+    try:
+        solver.step()
+    finally:
+        del op.predict_states
     return seen[0]
 
 
@@ -127,7 +143,7 @@ def test_b1_backend_scaling(benchmark):
         np.testing.assert_allclose(solver.Q, q_serial, rtol=1e-10,
                                    atol=1e-13 * scale)
         speedups[workers] = per_step_serial / per_step
-        blas = _region_blas_threads(solver.backend)
+        blas = _region_blas_threads(solver)
         rows.append(f"{'partitioned, %d worker(s)' % workers:28} "
                     f"{blas!s:>8} {per_step:10.4f} {speedups[workers]:9.2f} "
                     f"{per_step_serial_1 / per_step:17.2f}")

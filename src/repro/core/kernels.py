@@ -1,13 +1,15 @@
 """Element and face kernels: the discrete spatial operator.
 
 This module is the Python analogue of SeisSol's generated kernels: all
-per-element and per-face operators are precomputed at setup (star Jacobians,
-per-face Godunov flux matrices F-/F+ of paper Eq. 20 for *both* sides of
-every interior face, boundary flux matrices per kind, and the surface
-factors folded from them) and applied by the fused stacked-GEMM kernels of
-:mod:`repro.kernels.fusion`, grouped by face orientation class, so the hot
-loop is a short sequence of ``matmul`` calls over contiguous arrays — the
-vectorization idiom the HPC-Python guides prescribe.
+per-element and per-face operators are precomputed at setup and applied by
+the fused stacked-GEMM kernels of :mod:`repro.kernels.fusion`, grouped by
+face orientation class, so the hot loop is a short sequence of ``matmul``
+calls over contiguous arrays — the vectorization idiom the HPC-Python
+guides prescribe.  The plan holds only what those kernels read: the
+transposed star Jacobians ``starT`` and the surface factors folded from
+the Godunov flux matrices F-/F+ of paper Eq. 20 (both sides of every
+interior face, boundary kinds alike), one orientation class at a time —
+no class's flux matrices outlive its fold.
 
 The corrector update implemented here is the time-integrated weak form:
 
@@ -26,7 +28,8 @@ import numpy as np
 from ..core.riemann import FaceKind
 from ..exec.plan_cache import OperatorPlan, get_plan_cache
 from ..kernels.fusion import (
-    attach_fused_groups,
+    fold_boundary_group,
+    fold_interior_group,
     fused_boundary_residual,
     fused_ck,
     fused_interior_residual,
@@ -52,9 +55,8 @@ _MET = get_metrics()
 class _InteriorGroup:
     """Faces sharing one (minus face, plus face, permutation) class.
 
-    Besides the raw per-face flux matrices ``Fmm``-``Fpp``, every group
-    carries the folded surface factors of
-    :func:`repro.kernels.fusion.attach_fused_groups`: the per-class
+    Every group carries the folded surface factors of
+    :func:`repro.kernels.fusion.fold_interior_group`: the per-class
     ``(B, B)`` basis projectors ``Amm``/``Amp``/``App``/``Apm`` and the
     per-face scale-folded transposed flux matrices ``G1``-``G4``.
     ``G1``/``G2`` cover the faces of the slice ``minus`` (whose minus side
@@ -64,12 +66,14 @@ class _InteriorGroup:
 
     __slots__ = ("face_ids", "em", "ep", "minus_face", "plus_face", "perm",
                  "minus", "plus",
-                 "scale_m", "scale_p", "Fmm", "Fpm", "Fmp", "Fpp",
                  "Amm", "Amp", "App", "Apm", "G1", "G2", "G3", "G4")
 
 
 class _BoundaryGroup:
-    __slots__ = ("face_ids", "elem", "face", "scale", "F", "A", "G")
+    """Boundary faces of one (kind, local face ``face``) pair and their
+    folded factors ``A``/``G`` (:func:`repro.kernels.fusion.fold_boundary_group`)."""
+
+    __slots__ = ("face_ids", "elem", "face", "A", "G")
 
 
 class SpatialOperator:
@@ -99,26 +103,20 @@ class SpatialOperator:
         self.ref = get_reference_element(order)
         self.g = gravity_g
         self._n_elements = mesh.n_elements
-        # the expensive setup (star Jacobians + per-face flux matrices +
-        # folded surface factors) is memoized per problem fingerprint;
-        # plans are immutable and shared
+        # the expensive setup (star Jacobians + folded surface factors) is
+        # memoized per problem fingerprint; plans are immutable and shared
         plan = get_plan_cache().get_or_build(
             mesh, order, flux_variant, self._build_plan)
-        self.star = plan.star
         self.starT = plan.starT
         self.interior_groups = plan.interior_groups
         self.boundary_groups = plan.boundary_groups
 
     def _build_plan(self) -> OperatorPlan:
-        star = star_matrices(self.mesh)
-        plan = OperatorPlan(
-            star=star,
-            starT=star.transpose(0, 1, 3, 2).copy(),
+        return OperatorPlan(
+            starT=star_matrices(self.mesh).transpose(0, 1, 3, 2).copy(),
             interior_groups=self._build_interior(),
             boundary_groups=self._build_boundary(),
         )
-        attach_fused_groups(plan, self.ref)
-        return plan
 
     # ------------------------------------------------------------------
     @property
@@ -141,107 +139,97 @@ class SpatialOperator:
         the flux seen by the element owning ``normals`` (its outward side)
         is ``F_minus @ q_own + F_plus @ q_neigh``.
 
-        Public (besides the internal plan build) because the benchmark
-        battery (:mod:`repro.obs.bench`) times the Riemann-flux setup path
-        in isolation.
+        Public (besides the plan build, one orientation class at a time)
+        because the benchmark battery (:mod:`repro.obs.bench`) times the
+        Riemann-flux setup path in isolation and the test oracle rebuilds
+        the raw matrices the plan does not keep.
         """
         with _MET.phase("riemann_flux"):
-            return self._face_flux_matrices_impl(mat_m_ids, mat_p_ids, normals)
-
-    def _face_flux_matrices_impl(self, mat_m_ids, mat_p_ids, normals):
-        nf = len(mat_m_ids)
-        T, Tinv = batched_state_rotation(normals)
-        Fm = np.empty((nf, 9, 9))
-        Fp = np.empty((nf, 9, 9))
-        mats = self.mesh.materials
-        pair_key = mat_m_ids * len(mats) + mat_p_ids
-        for key in np.unique(pair_key):
-            sel = pair_key == key
-            mm = mats[int(key) // len(mats)]
-            mp = mats[int(key) % len(mats)]
-            if self.flux_variant == "one_sided":
-                Gm, Gp = middle_state_matrices(mm, mm)  # ignores the + side
-            else:
-                Gm, Gp = middle_state_matrices(mm, mp)
-            Aloc = jacobians(mm)[0]
-            AGm = Aloc @ Gm
-            AGp = Aloc @ Gp
-            Fm[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGm, Tinv[sel], optimize=True)
-            Fp[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGp, Tinv[sel], optimize=True)
-        return Fm, Fp
+            nf = len(mat_m_ids)
+            T, Tinv = batched_state_rotation(normals)
+            Fm = np.empty((nf, 9, 9))
+            Fp = np.empty((nf, 9, 9))
+            mats = self.mesh.materials
+            pair_key = mat_m_ids * len(mats) + mat_p_ids
+            for key in np.unique(pair_key):
+                sel = pair_key == key
+                mm = mats[int(key) // len(mats)]
+                mp = mats[int(key) % len(mats)]
+                if self.flux_variant == "one_sided":
+                    Gm, Gp = middle_state_matrices(mm, mm)  # ignores the + side
+                else:
+                    Gm, Gp = middle_state_matrices(mm, mp)
+                Aloc = jacobians(mm)[0]
+                AGm = Aloc @ Gm
+                AGp = Aloc @ Gp
+                Fm[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGm, Tinv[sel], optimize=True)
+                Fp[sel] = np.einsum("fij,jk,fkl->fil", T[sel], AGp, Tinv[sel], optimize=True)
+            return Fm, Fp
 
     def _build_interior(self) -> list[_InteriorGroup]:
         itf = self.mesh.interior
-        regular = ~itf.is_fault
-        ids = np.flatnonzero(regular)
+        ids = np.flatnonzero(~itf.is_fault)
         mat_ids = self.mesh.material_ids
-        em_mat = mat_ids[itf.minus_elem[ids]]
-        ep_mat = mat_ids[itf.plus_elem[ids]]
-        Fmm, Fpm = self.face_flux_matrices(em_mat, ep_mat, itf.normal[ids])
-        Fmp, Fpp = self.face_flux_matrices(ep_mat, em_mat, -itf.normal[ids])
-
-        # per-face corrector scale: -(2 * area) / det_jac  (reference face
-        # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
-        scale_m = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.minus_elem[ids]]
-        scale_p = -2.0 * itf.area[ids] / self.mesh.det_jac[itf.plus_elem[ids]]
-
+        det_jac = self.mesh.det_jac
         cls = (itf.minus_face[ids] * 4 + itf.plus_face[ids]) * 6 + itf.perm[ids]
         groups: list[_InteriorGroup] = []
         for c in np.unique(cls):
-            sel = cls == c
             grp = _InteriorGroup()
-            grp.face_ids = ids[sel]
-            grp.em = itf.minus_elem[grp.face_ids]
-            grp.ep = itf.plus_elem[grp.face_ids]
-            grp.minus_face = int(itf.minus_face[grp.face_ids[0]])
-            grp.plus_face = int(itf.plus_face[grp.face_ids[0]])
-            grp.perm = int(itf.perm[grp.face_ids[0]])
-            grp.minus = grp.plus = slice(0, len(grp.face_ids))
-            grp.scale_m = scale_m[sel]
-            grp.scale_p = scale_p[sel]
-            grp.Fmm = Fmm[sel]
-            grp.Fpm = Fpm[sel]
-            grp.Fmp = Fmp[sel]
-            grp.Fpp = Fpp[sel]
+            f = grp.face_ids = ids[cls == c]
+            em = grp.em = itf.minus_elem[f]
+            ep = grp.ep = itf.plus_elem[f]
+            grp.minus_face = int(itf.minus_face[f[0]])
+            grp.plus_face = int(itf.plus_face[f[0]])
+            grp.perm = int(itf.perm[f[0]])
+            grp.minus = grp.plus = slice(0, len(f))
+            Fmm, Fpm = self.face_flux_matrices(mat_ids[em], mat_ids[ep], itf.normal[f])
+            Fmp, Fpp = self.face_flux_matrices(mat_ids[ep], mat_ids[em], -itf.normal[f])
+            # per-face corrector scale: -(2 * area) / det_jac  (reference face
+            # weights sum to 1/2, mass matrix on the reference tet is |J| * I)
+            fold_interior_group(grp, self.ref, (Fmm, Fpm, Fmp, Fpp),
+                                -2.0 * itf.area[f] / det_jac[em],
+                                -2.0 * itf.area[f] / det_jac[ep])
             groups.append(grp)
         return groups
 
+    def boundary_flux_matrices(self, kind: int, mat_ids, normals):
+        """Flux matrices ``(nf, 9, 9)`` of a batch of boundary faces of one
+        :class:`FaceKind` value ``kind`` (free surface, wall or absorbing),
+        ``mat_ids`` the material of each face's element."""
+        T, Tinv = batched_state_rotation(normals)
+        F = np.empty((len(mat_ids), 9, 9))
+        for mid in np.unique(mat_ids):
+            msel = mat_ids == mid
+            mat = self.mesh.materials[int(mid)]
+            if kind == FaceKind.FREE_SURFACE.value:
+                AG = jacobians(mat)[0] @ free_surface_matrix(mat)
+            elif kind == FaceKind.WALL.value:
+                AG = jacobians(mat)[0] @ wall_matrix(mat)
+            else:
+                AG = jacobian_positive_part(mat)
+            F[msel] = np.einsum(
+                "fij,jk,fkl->fil", T[msel], AG, Tinv[msel], optimize=True
+            )
+        return F
+
     def _build_boundary(self) -> list[_BoundaryGroup]:
         bnd = self.mesh.boundary
-        mats = self.mesh.materials
-        mat_ids = self.mesh.material_ids
         groups: list[_BoundaryGroup] = []
-        handled = (
-            FaceKind.FREE_SURFACE.value,
-            FaceKind.ABSORBING.value,
-            FaceKind.WALL.value,
-        )
-        for kind in handled:
+        for kind in (FaceKind.FREE_SURFACE.value, FaceKind.ABSORBING.value,
+                     FaceKind.WALL.value):
             for f in range(4):
                 sel = np.flatnonzero((bnd.kind == kind) & (bnd.face == f))
                 if not sel.size:
                     continue
-                T, Tinv = batched_state_rotation(bnd.normal[sel])
-                F = np.empty((len(sel), 9, 9))
-                emat = mat_ids[bnd.elem[sel]]
-                for mid in np.unique(emat):
-                    msel = emat == mid
-                    mat = mats[int(mid)]
-                    if kind == FaceKind.FREE_SURFACE.value:
-                        AG = jacobians(mat)[0] @ free_surface_matrix(mat)
-                    elif kind == FaceKind.WALL.value:
-                        AG = jacobians(mat)[0] @ wall_matrix(mat)
-                    else:
-                        AG = jacobian_positive_part(mat)
-                    F[msel] = np.einsum(
-                        "fij,jk,fkl->fil", T[msel], AG, Tinv[msel], optimize=True
-                    )
                 grp = _BoundaryGroup()
                 grp.face_ids = sel
                 grp.elem = bnd.elem[sel]
-                grp.face = np.full(len(sel), f)
-                grp.scale = -2.0 * bnd.area[sel] / self.mesh.det_jac[bnd.elem[sel]]
-                grp.F = F
+                grp.face = f
+                F = self.boundary_flux_matrices(
+                    kind, self.mesh.material_ids[grp.elem], bnd.normal[sel])
+                fold_boundary_group(
+                    grp, self.ref, F,
+                    -2.0 * bnd.area[sel] / self.mesh.det_jac[grp.elem])
                 groups.append(grp)
         return groups
 
@@ -257,7 +245,7 @@ class SpatialOperator:
         faces of owned elements and, per orientation class, the faces
         with an owned side (ordered into the ``minus``/``plus`` slices of
         :mod:`repro.kernels.fusion`) with the ``G`` factors of their owned
-        sides — no raw flux matrix, no ``star``.  It runs the residual
+        sides.  It runs the residual
         kernels and :meth:`predict` only.
         """
         cells = np.asarray(cells)
@@ -311,7 +299,7 @@ class SpatialOperator:
             b = _BoundaryGroup()
             b.face_ids = grp.face_ids[sel]
             b.elem = g2l[grp.elem[sel]]
-            b.face = grp.face[sel]
+            b.face = grp.face
             b.A = grp.A
             b.G = grp.G[sel]
             sub.boundary_groups.append(b)

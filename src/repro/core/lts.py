@@ -102,7 +102,8 @@ class LocalTimeStepping:
     cluster, once, into a :class:`~repro.exec.unit.WorkUnit` of the
     solver's backend (``units[c]``): its owned elements, its halo grouped
     by source cluster, a lean restricted operator over the owned sides of
-    its faces and its gravity/motion/fault faces.
+    its faces and its gravity/motion/fault faces.  The default clustering
+    is the solver's shared :attr:`~repro.core.solver.CoupledSolver.clustering`.
     """
 
     def __init__(self, solver, rate: int = 2, max_cluster: int | None = None):
@@ -111,9 +112,9 @@ class LocalTimeStepping:
         self.backend = solver.backend
         mesh = solver.mesh
         self.rate = rate
-        self.cluster, self.dt_min = cluster_elements(
-            mesh, solver.order, rate, solver.cfl_safety, max_cluster
-        )
+        self.cluster, self.dt_min = (
+            solver.clustering if rate == 2 and max_cluster is None
+            else cluster_elements(mesh, solver.order, rate, solver.cfl_safety, max_cluster))
         self.cmax = int(self.cluster.max())
         self.n_clusters = nc = self.cmax + 1
         cluster = self.cluster

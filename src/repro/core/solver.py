@@ -18,6 +18,7 @@ Typical use::
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .basis import tet_basis
 from .cfl import element_timesteps
 from .gravity import GravityBoundary
 from .kernels import SpatialOperator
+from .lts import cluster_elements
 from .riemann import FaceKind
 
 __all__ = ["CoupledSolver", "PointSource", "ocean_surface_gravity_tagger"]
@@ -240,6 +242,16 @@ class CoupledSolver:
         self.backend.bind(self)
 
     # ------------------------------------------------------------------
+    @cached_property
+    def clustering(self) -> tuple[np.ndarray, float]:
+        """Read-only default LTS clustering ``(cluster_id, dt_min)`` (rate 2,
+        this CFL safety), shared by the partitioned backend's Eq. 28
+        weights and a default :class:`~repro.core.lts.LocalTimeStepping`."""
+        cluster, dt_min = cluster_elements(self.mesh, self.order,
+                                           safety=self.cfl_safety)
+        cluster.setflags(write=False)
+        return cluster, dt_min
+
     @property
     def n_dof(self) -> int:
         return self.Q.size

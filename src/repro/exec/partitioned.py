@@ -39,7 +39,6 @@ from functools import cached_property
 import numpy as np
 
 from ..core.ader import taylor_integrate
-from ..core.lts import cluster_elements
 from ..hpc.partition import edge_cut, eq28_vertex_weights, imbalance, partition_mesh
 from ..obs.metrics import get_metrics
 from .backend import ExecutionBackend
@@ -115,8 +114,7 @@ class PartitionedBackend(ExecutionBackend):
         self.solver = solver
         mesh = solver.mesh
         n_parts = min(self.n_parts, mesh.n_elements)
-        cluster, _ = cluster_elements(mesh, solver.order, safety=solver.cfl_safety)
-        weights = eq28_vertex_weights(mesh, cluster)
+        weights = eq28_vertex_weights(mesh, solver.clustering[0])
         parts = partition_mesh(mesh, n_parts, weights, refine=self.refine)
         parts = fault_atomic_partition(mesh, parts)
         self.parts = parts

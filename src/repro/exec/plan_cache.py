@@ -4,9 +4,9 @@ Building a :class:`~repro.core.kernels.SpatialOperator` is dominated by the
 per-face Godunov flux matrices (Eq. 20 for both sides of every interior
 face, plus boundary kinds).  Benchmarks, convergence sweeps and
 checkpoint/resume workflows rebuild the operator for the *same* discrete
-problem over and over; this module memoizes the finished plan (star
-Jacobians + interior/boundary face groups) keyed by a SHA-256 fingerprint
-of everything the plan depends on:
+problem over and over; this module memoizes the finished plan (transposed
+star Jacobians + face groups of folded surface factors) keyed by a SHA-256
+fingerprint of everything the plan depends on:
 
 * mesh geometry and topology (vertices, tets),
 * the material table and per-element material assignment,
@@ -88,11 +88,10 @@ def plan_key(mesh, order: int, flux_variant: str) -> str:
 
 @dataclass
 class OperatorPlan:
-    """The precomputed, immutable part of a :class:`SpatialOperator`."""
+    """What the step loop reads of a :class:`SpatialOperator`, immutable."""
 
-    star: np.ndarray            # (ne, 3, 9, 9) reference-coordinate Jacobians
-    starT: np.ndarray           # transposed copy used by the volume kernel
-    #: face groups: raw flux matrices plus the folded A/G surface factors
+    starT: np.ndarray  # (ne, 3, 9, 9) transposed star Jacobians
+    #: face groups: face/element indices plus the folded A/G surface factors
     interior_groups: list = field(default_factory=list)
     boundary_groups: list = field(default_factory=list)
 

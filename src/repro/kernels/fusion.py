@@ -24,8 +24,10 @@ Surface (:func:`fused_interior_residual` / :func:`fused_boundary_residual`)
     into ``(E^T diag(w) E) I (scale * F^T)``: the basis-side factor
     collapses to a per-orientation-class ``(B, B)`` matrix computed at
     plan time, and the per-face scale folds into the transposed Godunov
-    flux matrices (``G`` arrays).  The face-quadrature dimension
-    (``nfq > B`` for our rules) disappears from the step loop entirely.
+    flux matrices (``G`` arrays), folded class by class as the plan is
+    built; the raw ``F`` matrices are never kept.  The face-quadrature
+    dimension (``nfq > B`` for our rules) disappears from the step loop
+    entirely.
 
 Restriction (LTS clusters, mesh partitions)
     No kernel has a masked variant: subsets of the mesh run on the
@@ -54,7 +56,8 @@ __all__ = [
     "ElementKernelPlan",
     "element_plan",
     "fused_ck",
-    "attach_fused_groups",
+    "fold_interior_group",
+    "fold_boundary_group",
     "fused_volume_residual",
     "fused_interior_residual",
     "fused_boundary_residual",
@@ -161,43 +164,40 @@ def fused_ck(Q: np.ndarray, starT: np.ndarray, ref,
 # ----------------------------------------------------------------------
 # surface fusion: plan-time factor collapse
 # ----------------------------------------------------------------------
-def attach_fused_groups(plan, ref) -> None:
-    """Fold quadrature projection and scale into the face groups of a
-    freshly built :class:`~repro.exec.plan_cache.OperatorPlan`.
+def _fold(F: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per-face scale-folded transposed flux matrices ``scale * F^T``."""
+    return np.ascontiguousarray(F.transpose(0, 2, 1)) * scale[:, None, None]
 
-    For each interior orientation class with trace operators ``Em``/``Ep``
-    and face weights ``w``, the minus-side contribution
 
-        ``scale_m * Em^T diag(w) (Em I[em] Fmm^T + Ep I[ep] Fpm^T)``
-
-    factorizes into ``Amm @ I[em] @ G1 + Amp @ I[ep] @ G2`` with the
-    ``(B, B)`` basis factors ``Amm = Em^T diag(w) Em`` / ``Amp = Em^T
-    diag(w) Ep`` shared by the whole class and the per-face ``(9, 9)``
-    matrices ``G1 = scale_m * Fmm^T`` / ``G2 = scale_m * Fpm^T`` (and
-    symmetrically ``App``/``Apm``/``G3``/``G4`` for the plus side).
-    Called only inside the plan builder: cached plans are immutable.
+def fold_interior_group(grp, ref, fluxes, scale_m, scale_p) -> None:
+    """Fold one interior orientation class's flux matrices ``fluxes =
+    (Fmm, Fpm, Fmp, Fpp)`` and face scales into its surface factors, which
+    replace them: the minus side's ``scale_m Em^T diag(w) (Em I[em] Fmm^T
+    + Ep I[ep] Fpm^T)`` becomes ``Amm I[em] G1 + Amp I[ep] G2`` with the
+    class's ``(B, B)`` basis factors ``Amm = Em^T diag(w) Em``, ``Amp =
+    Em^T diag(w) Ep`` and the per-face ``G1 = scale_m Fmm^T``, ``G2 =
+    scale_m Fpm^T`` (``App``/``Apm``/``G3``/``G4`` likewise for the plus
+    side).  A face's factors depend on its own flux matrices only.
     """
     w = ref.face_weights
-    for grp in plan.interior_groups:
-        Em = ref.E_minus[grp.minus_face]
-        Ep = ref.E_plus[grp.plus_face, grp.perm]
-        EmW = Em.T * w
-        EpW = Ep.T * w
-        grp.Amm = np.ascontiguousarray(EmW @ Em)
-        grp.Amp = np.ascontiguousarray(EmW @ Ep)
-        grp.App = np.ascontiguousarray(EpW @ Ep)
-        grp.Apm = np.ascontiguousarray(grp.Amp.T)
-        sm = grp.scale_m[:, None, None]
-        sp = grp.scale_p[:, None, None]
-        grp.G1 = np.ascontiguousarray(grp.Fmm.transpose(0, 2, 1)) * sm
-        grp.G2 = np.ascontiguousarray(grp.Fpm.transpose(0, 2, 1)) * sm
-        grp.G3 = np.ascontiguousarray(grp.Fmp.transpose(0, 2, 1)) * sp
-        grp.G4 = np.ascontiguousarray(grp.Fpp.transpose(0, 2, 1)) * sp
-    for grp in plan.boundary_groups:
-        E = ref.E_minus[int(grp.face[0])]
-        grp.A = np.ascontiguousarray((E.T * w) @ E)
-        grp.G = np.ascontiguousarray(grp.F.transpose(0, 2, 1)) * \
-            grp.scale[:, None, None]
+    Em = ref.E_minus[grp.minus_face]
+    Ep = ref.E_plus[grp.plus_face, grp.perm]
+    EmW, EpW = Em.T * w, Ep.T * w
+    grp.Amm = np.ascontiguousarray(EmW @ Em)
+    grp.Amp = np.ascontiguousarray(EmW @ Ep)
+    grp.App = np.ascontiguousarray(EpW @ Ep)
+    grp.Apm = np.ascontiguousarray(grp.Amp.T)
+    Fmm, Fpm, Fmp, Fpp = fluxes
+    grp.G1, grp.G2 = _fold(Fmm, scale_m), _fold(Fpm, scale_m)
+    grp.G3, grp.G4 = _fold(Fmp, scale_p), _fold(Fpp, scale_p)
+
+
+def fold_boundary_group(grp, ref, F, scale) -> None:
+    """Boundary analogue of :func:`fold_interior_group`: ``A = E^T diag(w)
+    E`` of the group's local face and ``G = scale * F^T``."""
+    E = ref.E_minus[grp.face]
+    grp.A = np.ascontiguousarray((E.T * ref.face_weights) @ E)
+    grp.G = _fold(F, scale)
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,13 @@ def water():
 
 
 @pytest.fixture
+def plan_cache_on(monkeypatch):
+    """Pin the operator-plan cache on: a test of plan sharing means the
+    same in a ``REPRO_PLAN_CACHE=0`` environment."""
+    monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -5,21 +5,25 @@ that runs the original per-group einsum/quadrature kernels instead of the
 fused stacked-GEMM ones: its predictor is the full-width
 :func:`repro.core.ader.ck_derivatives`, and its residual kernels evaluate
 traces at the face quadrature points through the raw per-face flux
-matrices (``Fmm``-``Fpp``, ``F``) every operator plan still carries.  It
-is the seed implementation the physics tests validated; the battery in
-``tests/test_kernels.py`` pins the fused path to it.  Besides the owned
-sides of a work unit's restricted operator it still offers the retired
-``active=`` element mask, as the independent reference the units are
-checked against.
+matrices (``Fmm``-``Fpp``, ``F``) and corrector scales.  Operator plans
+keep only the folded factors, so the oracle rebuilds these from the mesh
+by face id (:meth:`ReferenceOperator.interior_raw`,
+:meth:`ReferenceOperator.boundary_raw`), through
+:meth:`~repro.core.kernels.SpatialOperator.face_flux_matrices` and
+:meth:`~repro.core.kernels.SpatialOperator.boundary_flux_matrices`, for
+full and restricted operators alike.  It is the seed implementation the
+physics tests validated; the battery in ``tests/test_kernels.py`` pins
+the fused path to it.  Besides the owned sides of a work unit's
+restricted operator it still offers the retired ``active=`` element
+mask, as the independent reference the units are checked against.
 
 :func:`reference_solvers` installs it into every solver built inside the
 ``with`` block (serial and partitioned backends alike: restricted
-operators keep their parent's class, and the oracle's own
-:meth:`ReferenceOperator.restricted` re-attaches the raw flux matrices the
-lean fused restriction leaves out).
+operators keep their parent's class).
 """
 
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -44,15 +48,36 @@ class ReferenceOperator(SpatialOperator):
         (every call allocates)."""
         return ck_derivatives(Q, starT.transpose(0, 1, 3, 2), self.ref)
 
-    def restricted(self, cells, n_owned):
-        """The fused restriction plus the raw per-face flux matrices and
-        scales of its faces, looked up by face id."""
-        sub = super().restricted(cells, n_owned)
-        _attach_raw(self.interior_groups, sub.interior_groups,
-                    ("Fmm", "Fpm", "Fmp", "Fpp", "scale_m", "scale_p"))
-        _attach_raw(self.boundary_groups, sub.boundary_groups,
-                    ("F", "scale"))
-        return sub
+    @cached_property
+    def interior_raw(self):
+        """Per interior group, ``(Fmm, Fpm, Fmp, Fpp, scale_m, scale_p)``
+        of its faces, rebuilt from the mesh by face id."""
+        itf = self.mesh.interior
+        mat = self.mesh.material_ids
+        raw = []
+        for grp in self.interior_groups:
+            f = grp.face_ids
+            em, ep = itf.minus_elem[f], itf.plus_elem[f]  # global ids
+            Fmm, Fpm = self.face_flux_matrices(mat[em], mat[ep], itf.normal[f])
+            Fmp, Fpp = self.face_flux_matrices(mat[ep], mat[em], -itf.normal[f])
+            raw.append((Fmm, Fpm, Fmp, Fpp,
+                        -2.0 * itf.area[f] / self.mesh.det_jac[em],
+                        -2.0 * itf.area[f] / self.mesh.det_jac[ep]))
+        return raw
+
+    @cached_property
+    def boundary_raw(self):
+        """Per boundary group, ``(F, scale)`` of its faces, rebuilt from
+        the mesh by face id."""
+        bnd = self.mesh.boundary
+        raw = []
+        for grp in self.boundary_groups:
+            f = grp.face_ids
+            elem = bnd.elem[f]  # global ids
+            F = self.boundary_flux_matrices(
+                int(bnd.kind[f[0]]), self.mesh.material_ids[elem], bnd.normal[f])
+            raw.append((F, -2.0 * bnd.area[f] / self.mesh.det_jac[elem]))
+        return raw
 
     def volume_residual(self, I, out, active=None) -> None:
         with _MET.phase(self._phase_volume):
@@ -80,14 +105,13 @@ class ReferenceOperator(SpatialOperator):
     def _interior_residual(self, I, out, active=None) -> None:
         ref = self.ref
         w = ref.face_weights
-        for grp in self.interior_groups:
+        for grp, raw in zip(self.interior_groups, self.interior_raw):
             Em = ref.E_minus[grp.minus_face]
             Ep = ref.E_plus[grp.plus_face, grp.perm]
             if active is None:
                 # owned sides: every face of a full operator
                 em, ep = grp.em, grp.ep
-                Fmm, Fpm, Fmp, Fpp = grp.Fmm, grp.Fpm, grp.Fmp, grp.Fpp
-                scale_m, scale_p = grp.scale_m, grp.scale_p
+                Fmm, Fpm, Fmp, Fpp, scale_m, scale_p = raw
                 upd_m, upd_p = grp.minus, grp.plus
                 do_m = upd_m.stop > upd_m.start
                 do_p = upd_p.stop > upd_p.start
@@ -100,9 +124,7 @@ class ReferenceOperator(SpatialOperator):
                 if not np.any(sel):
                     continue
                 em, ep = grp.em[sel], grp.ep[sel]
-                Fmm, Fpm = grp.Fmm[sel], grp.Fpm[sel]
-                Fmp, Fpp = grp.Fmp[sel], grp.Fpp[sel]
-                scale_m, scale_p = grp.scale_m[sel], grp.scale_p[sel]
+                Fmm, Fpm, Fmp, Fpp, scale_m, scale_p = (a[sel] for a in raw)
                 upd_m, upd_p = am[sel], ap[sel]
                 do_m = bool(np.any(upd_m))
                 do_p = bool(np.any(upd_p))
@@ -127,36 +149,19 @@ class ReferenceOperator(SpatialOperator):
     def _boundary_residual(self, I, out, active=None) -> None:
         ref = self.ref
         w = ref.face_weights
-        for grp in self.boundary_groups:
-            if active is None:
-                elem, F, scale = grp.elem, grp.F, grp.scale
-            else:
+        for grp, (F, scale) in zip(self.boundary_groups, self.boundary_raw):
+            elem = grp.elem
+            if active is not None:
                 sel = active[grp.elem]
                 if not np.any(sel):
                     continue
-                elem, F, scale = grp.elem[sel], grp.F[sel], grp.scale[sel]
-            f = int(grp.face[0])
-            E = ref.E_minus[f]
+                elem, F, scale = elem[sel], F[sel], scale[sel]
+            E = ref.E_minus[grp.face]
             trace = E @ I[elem]
             flux = np.einsum("fij,fqj->fqi", F, trace, optimize=True)
             contrib = np.einsum("qb,q,fqi->fbi", E, w, flux, optimize=True)
             contrib *= scale[:, None, None]
             out[elem] += contrib  # unique per (kind, local face) group
-
-
-def _attach_raw(parents, subs, names) -> None:
-    """Copy the ``names`` arrays of each sub-group's faces from the parent
-    groups holding them (face ids are unique across a group list)."""
-    n = max((int(g.face_ids.max()) + 1 for g in parents), default=0)
-    gid = np.full(n, -1)
-    pos = np.full(n, -1)
-    for k, g in enumerate(parents):
-        gid[g.face_ids] = k
-        pos[g.face_ids] = np.arange(len(g.face_ids))
-    for g in subs:
-        parent = parents[gid[g.face_ids[0]]]
-        for name in names:
-            setattr(g, name, getattr(parent, name)[pos[g.face_ids]])
 
 
 @contextmanager

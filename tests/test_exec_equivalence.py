@@ -263,6 +263,7 @@ class TestBackendSelection:
 # operator-plan cache
 # ---------------------------------------------------------------------------
 class TestPlanCache:
+    @pytest.mark.usefixtures("plan_cache_on")
     def test_identical_problem_hits(self):
         clear_plan_cache()
         build_gts()
@@ -273,12 +274,14 @@ class TestPlanCache:
         assert s1["hits"] == s0["hits"] + 1
         assert s1["misses"] == s0["misses"]
 
+    @pytest.mark.usefixtures("plan_cache_on")
     def test_cached_plan_is_shared(self):
         clear_plan_cache()
         a, b = build_gts(), build_gts()
-        assert a.op.star is b.op.star
+        assert a.op.starT is b.op.starT
         assert a.op.interior_groups is b.op.interior_groups
 
+    @pytest.mark.usefixtures("plan_cache_on")
     def test_order_change_invalidates(self):
         clear_plan_cache()
         build_gts(order=2)
@@ -309,7 +312,7 @@ class TestPlanCache:
         a, b = build_gts(), build_gts()
         st = get_plan_cache().stats()
         assert st == {"entries": 0, "hits": 0, "misses": 0}
-        assert a.op.star is not b.op.star
+        assert a.op.starT is not b.op.starT
 
     def test_disabled_cache_still_correct(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_CACHE", "0")

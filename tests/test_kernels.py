@@ -21,7 +21,10 @@ reference.  This battery locks the fused stacked-GEMM path of
   halo element's cluster is consumed by the step plan, and a corrector
   reads nothing outside its unit's cells;
 * **plan-cache hygiene** — oracle and fused operators share one plan,
-  including under ``REPRO_PLAN_CACHE=0``.
+  including under ``REPRO_PLAN_CACHE=0``;
+* **lean plans** — a plan holds no ``star`` and no raw flux matrix (its
+  bytes are exactly the arrays the step loop reads), and the oracle's
+  raw matrices, rebuilt by face id, match a whole-mesh build bitwise.
 """
 
 import numpy as np
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from repro.core.ader import taylor_integrate
 from repro.core.kernels import SpatialOperator
 from repro.core.lts import LocalTimeStepping
+from repro.core.riemann import FaceKind
 from repro.exec import clear_plan_cache, get_plan_cache
 from repro.exec.unit import halo_of
 from repro.kernels.fusion import element_plan
@@ -436,6 +440,7 @@ class TestWorkUnits:
 # plan-cache hygiene
 # ----------------------------------------------------------------------
 class TestPlanCacheInvalidation:
+    @pytest.mark.usefixtures("plan_cache_on")
     def test_no_stale_batched_plan_served_to_fused(self):
         """There is one plan kind: an oracle operator built first caches
         a plan that already carries the folded factors, and a fused
@@ -449,10 +454,8 @@ class TestPlanCacheInvalidation:
         assert op_f.interior_groups is op_b.interior_groups
         for grp in op_f.interior_groups:
             assert hasattr(grp, "Amm") and hasattr(grp, "G1")
-            assert hasattr(grp, "Fmm") and hasattr(grp, "Fpp")
         for grp in op_f.boundary_groups:
             assert hasattr(grp, "A") and hasattr(grp, "G")
-            assert hasattr(grp, "F")
         op_f2 = SpatialOperator(mesh, 2)
         assert op_f2.interior_groups is op_f.interior_groups
 
@@ -488,6 +491,101 @@ class TestPlanCacheInvalidation:
                 assert type(plan.op) is type(solver.op)
                 assert plan.op.kernel_variant == variant
             solver.backend.close()
+
+
+# ----------------------------------------------------------------------
+# lean plans: only what the step loop reads; the oracle rebuilds the rest
+# ----------------------------------------------------------------------
+def _plan_arrays(plan):
+    """Every ndarray an operator plan holds: its fields and the slots of
+    its face groups."""
+    arrays = []
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, list):
+            for grp in value:
+                arrays += [getattr(grp, name) for name in type(grp).__slots__
+                           if isinstance(getattr(grp, name, None), np.ndarray)]
+    return arrays
+
+
+class TestLeanPlan:
+    _RAW = ("Fmm", "Fpm", "Fmp", "Fpp", "F")
+
+    @pytest.fixture(scope="class")
+    def mixed_mesh(self):
+        """The coupled Earth-ocean mesh: elastic and acoustic elements,
+        absorbing and gravity boundaries."""
+        mesh = build_gts(order=2).mesh
+        assert len({m.is_acoustic for m in mesh.materials}) == 2
+        return mesh
+
+    def test_plan_holds_only_step_loop_arrays(self, mixed_mesh):
+        """No ``star``, no raw flux matrix; the plan's bytes are exactly
+        ``starT`` + ``G*`` + ``A*`` + the face/element index arrays."""
+        mesh = mixed_mesh
+        clear_plan_cache()
+        op = SpatialOperator(mesh, 2)
+        # the operator's own plan; a fresh one under REPRO_PLAN_CACHE=0
+        cache = get_plan_cache()
+        plan = cache.get_or_build(mesh, 2, "exact", op._build_plan)
+        assert (plan.starT is op.starT) == cache.enabled
+        assert not hasattr(plan, "star") and not hasattr(op, "star")
+        for grp in plan.interior_groups + plan.boundary_groups:
+            for name in self._RAW:
+                assert name not in type(grp).__slots__
+                assert not hasattr(grp, name)
+        itf, bnd = mesh.interior, mesh.boundary
+        n_int = int((~itf.is_fault).sum())
+        n_bnd = int(np.isin(bnd.kind, [FaceKind.FREE_SURFACE.value,
+                                       FaceKind.ABSORBING.value,
+                                       FaceKind.WALL.value]).sum())
+        f8, i8, nb = 8, np.dtype(np.int64).itemsize, op.nbasis
+        want = (op.n_elements * 3 * 81 * f8               # starT
+                + (4 * n_int + n_bnd) * 81 * f8           # G1-G4, G
+                + (4 * len(plan.interior_groups)
+                   + len(plan.boundary_groups)) * nb * nb * f8  # A*
+                + (3 * n_int + 2 * n_bnd) * i8)           # face ids + elements
+        assert sum(a.nbytes for a in _plan_arrays(plan)) == want
+
+    def test_oracle_rebuilds_raw_flux_by_face_id(self, mixed_mesh):
+        """The oracle's per-group raw matrices equal one whole-mesh
+        ``face_flux_matrices`` call indexed by face id, bitwise, and the
+        plan's folded factors are ``scale * F^T`` of them — on the full
+        operator and on a restricted one."""
+        mesh = mixed_mesh
+        clear_plan_cache()
+        ref_op = ReferenceOperator(mesh, 2)
+        itf, mat = mesh.interior, mesh.material_ids
+        ids = np.flatnonzero(~itf.is_fault)
+        em, ep = itf.minus_elem[ids], itf.plus_elem[ids]
+        whole = (*ref_op.face_flux_matrices(mat[em], mat[ep], itf.normal[ids]),
+                 *ref_op.face_flux_matrices(mat[ep], mat[em], -itf.normal[ids]))
+        pos = np.full(len(itf.minus_elem), -1)
+        pos[ids] = np.arange(len(ids))
+
+        def check(op):
+            for grp, raw in zip(op.interior_groups, op.interior_raw):
+                k = pos[grp.face_ids]
+                for got, want in zip(raw[:4], whole):
+                    np.testing.assert_array_equal(got, want[k])
+                # G1/G2 fold the owned minus sides, G3/G4 the plus sides
+                m, p = grp.minus, grp.plus
+                Fmm, Fpm, Fmp, Fpp, sm, sp = raw
+                for g, F, sc in ((grp.G1, Fmm[m], sm[m]), (grp.G2, Fpm[m], sm[m]),
+                                 (grp.G3, Fmp[p], sp[p]), (grp.G4, Fpp[p], sp[p])):
+                    np.testing.assert_array_equal(
+                        g, sc[:, None, None] * F.transpose(0, 2, 1))
+            for grp, (F, sc) in zip(op.boundary_groups, op.boundary_raw):
+                np.testing.assert_array_equal(
+                    grp.G, sc[:, None, None] * F.transpose(0, 2, 1))
+
+        check(ref_op)
+        active = mesh.centroids[:, 0] < 1000.0
+        sub, _ = _restrict(ref_op, active)
+        assert 0 < sum(len(g.face_ids) for g in sub.interior_groups) < len(ids)
+        check(sub)
 
 
 # ----------------------------------------------------------------------

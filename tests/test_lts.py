@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import repro.core.lts
+import repro.core.solver
 from repro.core.lts import LocalTimeStepping, cluster_elements, lts_statistics
 from repro.core.materials import acoustic, elastic
 from repro.core.riemann import FaceKind
@@ -65,6 +67,46 @@ class TestClustering:
         cl, _ = cluster_elements(m, 2)
         f = m.interior.is_fault
         assert (cl[m.interior.minus_elem[f]] == cl[m.interior.plus_elem[f]]).all()
+
+
+class TestSharedClustering:
+    @staticmethod
+    def _count_clusterings(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cluster_elements(*args, **kwargs)
+
+        for mod in (repro.core.lts, repro.core.solver):
+            monkeypatch.setattr(mod, "cluster_elements", counting)
+        return calls
+
+    def test_partitioned_lts_build_clusters_once(self, monkeypatch):
+        """The backend's Eq. 28 weights and a default LTS read one
+        clustering of the solver."""
+        calls = self._count_clusterings(monkeypatch)
+        s = CoupledSolver(graded_periodic_box(), order=1,
+                          backend="partitioned", workers=2)
+        try:
+            lts = LocalTimeStepping(s)
+        finally:
+            s.backend.close()
+        assert len(calls) == 1
+        assert lts.cluster is s.clustering[0]
+        assert not lts.cluster.flags.writeable
+        want, dt_min = cluster_elements(s.mesh, 1, safety=s.cfl_safety)
+        np.testing.assert_array_equal(lts.cluster, want)
+        assert lts.dt_min == dt_min
+
+    def test_non_default_lts_clusters_for_itself(self, monkeypatch):
+        calls = self._count_clusterings(monkeypatch)
+        s = CoupledSolver(graded_periodic_box(), order=1)
+        lts = LocalTimeStepping(s, max_cluster=0)
+        assert len(calls) == 1 and "clustering" not in vars(s)
+        assert (lts.cluster == 0).all()
+        LocalTimeStepping(s, rate=3)
+        assert len(calls) == 2
 
 
 class TestStatistics:
